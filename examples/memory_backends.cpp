@@ -22,65 +22,30 @@
 
 #include <cstdio>
 
-#include "core/coreapi.h"
-#include "core/seqcore.h"
-#include "xasm/assembler.h"
+#include "sys/baremachine.h"
 
 using namespace ptl;
 
 namespace {
 
-class BareSystem : public SystemInterface
-{
-  public:
-    explicit BareSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
-    U64 hypercall(Context &, U64, U64, U64, U64) override { return 0; }
-    U64 readTsc(const Context &) override { return 0; }
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-    U64 ptlcall(Context &, U64, U64, U64) override { return 0; }
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-    bool isCodeMfn(Pfn mfn) const override
-    {
-        return bbcache->isCodeMfn(mfn);
-    }
-
-  private:
-    BasicBlockCache *bbcache;
-};
-
-constexpr U64 BUF_BASE = 0x600000;
+constexpr U64 BUF_BASE = BareMachine::DATA_BASE;
 constexpr U64 BUF_BYTES = 1 << 20;
 
-/** Run the stride workload under one memory JSON; returns cycles. */
+/** Run the stride workload under one memory JSON; returns cycles, or
+ *  0 if the guest computed a wrong sum. */
 U64
 runWorkload(const char *label, const char *memory_json)
 {
     SimConfig cfg = SimConfig::preset("k8");
     cfg.applyMemoryJson(memory_json);
-    cfg.validate();
-
-    PhysMem mem(32 << 20, 1, true);
-    AddressSpace aspace(mem);
-    StatsTree stats;
-    BasicBlockCache bbcache(stats.counter("bbcache/hits"),
-                            stats.counter("bbcache/misses"),
-                            stats.counter("bbcache/smc_invalidations"));
-    BareSystem sys(bbcache);
-    InterlockController interlocks(stats);
-
-    Pfn cr3 = aspace.createRoot();
-    aspace.mapRange(cr3, GuestVirt(0x400000), 16 * PAGE_SIZE, Pte::RW | Pte::US);
-    aspace.mapRange(cr3, GuestVirt(BUF_BASE), BUF_BYTES + PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
-    aspace.mapRange(cr3, GuestVirt(0x7F0000), 16 * PAGE_SIZE,
-                    Pte::RW | Pte::US | Pte::NX);
+    BareMachine m(cfg);
 
     // Two passes over the buffer, one line per iteration; the next
     // address depends on the loaded value (masked to zero, but the
     // dataflow edge is real), so misses serialize and every backend
     // pays its full per-access latency. Pass one is cold, pass two
     // mostly hits the on-chip caches.
-    Assembler a(0x400000);
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::r8, 2);
     Label pass = a.label();
     a.movImm64(R::rbx, BUF_BASE);
@@ -97,38 +62,18 @@ runWorkload(const char *label, const char *memory_json)
     a.dec(R::r8);
     a.jcc(COND_ne, pass);
     a.hlt();
-    std::vector<U8> image = a.finalize();
+    m.load(a);
+    m.start();
+    const U64 cycle = m.run(100'000'000);
 
-    Context ctx;
-    ctx.cr3 = cr3;
-    ctx.kernel_mode = true;
-    ctx.rip = GuestVirt(0x400000);
-    ctx.regs[REG_rsp] = 0x7FF000;
-    for (size_t i = 0; i < image.size(); i++) {
-        GuestAccess acc =
-            guestTranslate(aspace, ctx, GuestVirt(0x400000 + i),
-                           MemAccess::Write);
-        mem.writeBytes(acc.paddr, &image[i], 1);
+    // The buffer is zero-filled, so the sum of every load is zero.
+    if (m.reg(R::rax) != 0 || m.reg(R::rbx) != BUF_BASE + BUF_BYTES) {
+        std::printf("%-8s WRONG RESULT (rax %llu, rbx %#llx)\n", label,
+                    (unsigned long long)m.reg(R::rax),
+                    (unsigned long long)m.reg(R::rbx));
+        return 0;
     }
-
-    CoreBuildParams params;
-    params.config = &cfg;
-    params.contexts = {&ctx};
-    params.aspace = &aspace;
-    params.bbcache = &bbcache;
-    params.sys = &sys;
-    params.stats = &stats;
-    params.prefix = "core0/";
-    params.interlocks = &interlocks;
-    auto hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                       params.prefix);
-    params.hierarchy = hierarchy.get();
-    auto core = createCoreModel("ooo", params);
-
-    U64 cycle = 0;
-    while (!core->allIdle() && cycle < 100'000'000)
-        core->cycle(SimCycle(cycle++));
-
+    StatsTree &stats = m.stats();
     std::printf("%-8s %9llu cycles  (IPC %.3f, %llu line fills)\n",
                 label, (unsigned long long)cycle,
                 (double)stats.get("core0/commit/insns") / (double)cycle,
@@ -180,6 +125,7 @@ main()
     std::printf("\nbanked vs fixed: %+.1f%%   hybrid vs fixed: %+.1f%%\n",
                 100.0 * ((double)banked - (double)fixed) / (double)fixed,
                 100.0 * ((double)hybrid - (double)fixed) / (double)fixed);
-    // A sequential stream should profit from open DRAM rows.
-    return banked < fixed ? 0 : 1;
+    // Every run must compute the right sum, and a sequential stream
+    // should profit from open DRAM rows.
+    return fixed && banked && hybrid && banked < fixed ? 0 : 1;
 }

@@ -6,10 +6,9 @@
  * thread per simulated Domain. The static side of getting there is
  * simlint's shared-state / cross-domain-access rules; this header is
  * the compiler-checked side: structures that really are shared
- * (the stats registration index, the event queue's cross-domain
- * inbox) declare their lock with PTL_GUARDED_BY, and clang's
- * -Wthread-safety analysis then rejects unlocked access paths at
- * compile time.
+ * (the stats registration index) declare their lock with
+ * PTL_GUARDED_BY, and clang's -Wthread-safety analysis then rejects
+ * unlocked access paths at compile time.
  *
  * Under gcc (the default toolchain here) every macro expands to
  * nothing — the annotations are free documentation — and the dynamic

@@ -31,6 +31,7 @@
 
 #include "core/coreapi.h"
 #include "core/seqcore.h"
+#include "sys/coreassembly.h"
 #include "sys/eventq.h"
 #include "sys/hypervisor.h"
 #include "sys/tracereplay.h"
@@ -80,8 +81,8 @@ class Machine
     void finalizeCores();
 
     /** The memory hierarchy assembled for core i (finalizeCores). */
-    MemoryHierarchy &coreHierarchy(int i) { return *hierarchies[i]; }
-    int coreCount() const { return (int)cores.size(); }
+    MemoryHierarchy &coreHierarchy(int i) { return *core_set.hierarchies[i]; }
+    int coreCount() const { return (int)core_set.cores.size(); }
 
     enum class Mode { Simulation, Native };
     Mode mode() const { return run_mode; }
@@ -162,12 +163,7 @@ class Machine
     std::unique_ptr<VirtualNet> net_dev;
     std::unique_ptr<Hypervisor> hv;
     std::unique_ptr<InterlockController> interlock_ctrl;
-    std::unique_ptr<CoherenceController> coherence;
-    // Per-core memory hierarchies, assembled here (machine level) and
-    // handed to cores as narrow handles; declared before `cores` so
-    // cores are destroyed first.
-    std::vector<std::unique_ptr<MemoryHierarchy>> hierarchies;
-    std::vector<std::unique_ptr<CoreModel>> cores;
+    CoreSet core_set;
     std::vector<std::unique_ptr<FunctionalEngine>> native_engines;
     TraceReplayer *replayer = nullptr;
 

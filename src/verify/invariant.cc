@@ -655,4 +655,10 @@ VerifyTestHook::skewShadowReg(OooCore &core, int thread, int reg)
     return true;
 }
 
+int
+VerifyTestHook::coreId(const OooCore &core)
+{
+    return core.core_id;
+}
+
 }  // namespace ptl

@@ -139,6 +139,8 @@ struct VerifyTestHook
     /** Flip one bit in the lockstep checker's shadow architectural
      *  register, so the next commit diverges from the reference. */
     static bool skewShadowReg(OooCore &core, int thread, int reg);
+    /** The machine-assigned core id (interlock owner encoding). */
+    static int coreId(const OooCore &core);
 };
 
 }  // namespace ptl

@@ -241,6 +241,7 @@ class Assembler
     std::vector<U8> finalize();
 
     U64 baseVa() const { return base; }
+    bool isFinalized() const { return finalized; }
     size_t size() const { return code.size(); }
 
   private:

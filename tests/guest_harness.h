@@ -1,29 +1,28 @@
 /**
  * @file
- * Shared test harness: assembles guest code, builds a page-table-backed
- * address space, and runs it on a FunctionalEngine with a stub system
- * interface. Used by the decode/exec/core test suites.
+ * Shared test fixtures over the bare-metal rig (sys/baremachine.h):
+ * a BareMachine that records the guest's hypercalls and ptlcalls, and
+ * GuestRunner, which runs assembled code on the functional engine.
+ * Core-model tests drive a BareMachine directly.
  */
 
 #ifndef PTLSIM_TESTS_GUEST_HARNESS_H_
 #define PTLSIM_TESTS_GUEST_HARNESS_H_
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "core/seqcore.h"
 #include "lib/logging.h"
-#include "verify/verify.h"
-#include "xasm/assembler.h"
+#include "sys/baremachine.h"
 
 namespace ptl {
 
-/** Minimal SystemInterface for bare-metal style tests. */
-class StubSystem : public SystemInterface
+/** A BareMachine that records every hypercall and ptlcall. */
+class RecordingMachine : public BareMachine
 {
   public:
-    explicit StubSystem(BasicBlockCache &bbs) : bbcache(&bbs) {}
+    using BareMachine::BareMachine;
 
     U64
     hypercall(Context &, U64 nr, U64 a1, U64 a2, U64 a3) override
@@ -32,10 +31,6 @@ class StubSystem : public SystemInterface
         return hypercall_result;
     }
 
-    U64 readTsc(const Context &) override { return tsc += 100; }
-
-    void vcpuBlock(Context &ctx) override { ctx.running = false; }
-
     U64
     ptlcall(Context &, U64 op, U64, U64) override
     {
@@ -43,74 +38,49 @@ class StubSystem : public SystemInterface
         return 0;
     }
 
-    void notifyCodeWrite(Pfn mfn) override { bbcache->invalidateMfn(mfn); }
-
-    bool isCodeMfn(Pfn mfn) const override { return bbcache->isCodeMfn(mfn); }
-
     struct Call { U64 nr, a1, a2, a3; };
     std::vector<Call> hypercalls;
     std::vector<U64> ptlcalls;
     U64 hypercall_result = 0;
-    U64 tsc = 0;
-
-  private:
-    BasicBlockCache *bbcache;
 };
 
-/** Assemble-and-run fixture. */
+/** Assemble-and-run fixture: the functional engine on VCPU 0 of a
+ *  32 MB recording BareMachine, with translation shadow walks on. */
 class GuestRunner
 {
   public:
-    static constexpr U64 CODE_BASE = 0x400000;
-    static constexpr U64 DATA_BASE = 0x600000;
-    static constexpr U64 STACK_TOP = 0x800000;
+    static constexpr U64 CODE_BASE = BareMachine::CODE_BASE;
+    static constexpr U64 DATA_BASE = BareMachine::DATA_BASE;
+    static constexpr U64 STACK_TOP = BareMachine::STACK_TOP;
+
+    static SimConfig
+    config()
+    {
+        SimConfig cfg;
+        cfg.guest_mem_bytes = 32 << 20;
+        cfg.seed = 7;
+        cfg.verify = true;
+        return cfg;
+    }
 
     GuestRunner()
-        : mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          sys(bbcache)
+        : sys(config()), mem(sys.physMem()), aspace(sys.addressSpace()),
+          stats(sys.stats()), bbcache(sys.bbCache()), ctx(sys.vcpu(0)),
+          cr3(sys.cr3()),
+          engine(std::make_unique<FunctionalEngine>(ctx, aspace, bbcache,
+                                                    sys, stats, ""))
     {
-        aspace.attachStats(stats);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 64 * PAGE_SIZE),
-                        64 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        ctx.cr3 = cr3;
-        ctx.kernel_mode = true;   // bare-metal style by default
-        ctx.regs[REG_rsp] = STACK_TOP - 64;
-        engine = std::make_unique<FunctionalEngine>(ctx, aspace, bbcache,
-                                                    sys, stats, "");
     }
 
-    /** Write an assembled image at its base VA and point RIP at it. */
-    void
-    load(Assembler &assembler)
-    {
-        std::vector<U8> image = assembler.finalize();
-        writeGuest(assembler.baseVa(), image.data(), image.size());
-        ctx.rip = GuestVirt(assembler.baseVa());
-    }
+    void load(Assembler &assembler) { sys.load(assembler); }
 
     void
     writeGuest(U64 va, const void *data, size_t n)
     {
-        GuestCopy g = guestCopyOut(aspace, ctx, GuestVirt(va), data, n);
-        ptl_assert(g.ok());
+        sys.writeGuest(va, data, n);
     }
 
-    U64
-    readGuest(U64 va, unsigned bytes)
-    {
-        U64 v = 0;
-        GuestAccess a = guestRead(aspace, ctx, GuestVirt(va), bytes, v);
-        ptl_assert(a.ok());
-        return v;
-    }
+    U64 readGuest(U64 va, unsigned bytes) { return sys.readGuest(va, bytes); }
 
     /** Run until the VCPU blocks (hlt) or `max_insns` is exceeded. */
     int
@@ -128,132 +98,16 @@ class GuestRunner
         return executed;
     }
 
-    U64 reg(R r) const { return ctx.regs[(int)r]; }
+    U64 reg(R r) const { return sys.reg(r); }
 
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    StubSystem sys;
-    Context ctx;
+    RecordingMachine sys;
+    PhysMem &mem;
+    AddressSpace &aspace;
+    StatsTree &stats;
+    BasicBlockCache &bbcache;
+    Context &ctx;
+    Pfn cr3;
     std::unique_ptr<FunctionalEngine> engine;
-    Pfn cr3;
-};
-
-/** Bare-metal harness running programs on a registered core model
- *  (ooo/smt/seq) instead of the raw functional engine. */
-class CoreRunner
-{
-  public:
-    static constexpr U64 CODE_BASE = GuestRunner::CODE_BASE;
-    static constexpr U64 DATA_BASE = GuestRunner::DATA_BASE;
-    static constexpr U64 STACK_TOP = GuestRunner::STACK_TOP;
-
-    explicit CoreRunner(const SimConfig &config, int vcpus = 1)
-        : cfg(config), mem(32 << 20, 7, true), aspace(mem),
-          bbcache(stats.counter("bbcache/hits"),
-                  stats.counter("bbcache/misses"),
-                  stats.counter("bbcache/smc_invalidations")),
-          sys(bbcache), interlocks(stats)
-    {
-        aspace.attachStats(stats);
-        // Mirror the Machine ctor: translation shadow-walks only when
-        // verification is on.  GuestRunner keeps the always-on default.
-        aspace.transCache().setShadowEnabled(
-            cfg.verify || std::getenv("PTLSIM_VERIFY") != nullptr);
-        cr3 = aspace.createRoot();
-        aspace.mapRange(cr3, GuestVirt(CODE_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US);
-        aspace.mapRange(cr3, GuestVirt(DATA_BASE), 256 * PAGE_SIZE,
-                        Pte::RW | Pte::US | Pte::NX);
-        aspace.mapRange(cr3, GuestVirt(STACK_TOP - 256 * PAGE_SIZE),
-                        256 * PAGE_SIZE, Pte::RW | Pte::US | Pte::NX);
-        for (int i = 0; i < vcpus; i++) {
-            contexts.push_back(std::make_unique<Context>());
-            Context &ctx = *contexts.back();
-            ctx.vcpu_id = i;
-            ctx.cr3 = cr3;
-            ctx.kernel_mode = true;
-            ctx.regs[REG_rsp] = STACK_TOP - 64 - (U64)i * 0x10000;
-        }
-    }
-
-    /** Load the image and point VCPU i at `entry` (0 = image base). */
-    void
-    load(Assembler &assembler, int vcpu = 0, U64 entry = 0)
-    {
-        if (!image_written) {
-            image = assembler.finalize();
-            GuestCopy g = guestCopyOut(aspace, *contexts[0],
-                                       GuestVirt(assembler.baseVa()),
-                                       image.data(), image.size());
-            ptl_assert(g.ok());
-            image_written = true;
-        }
-        contexts[vcpu]->rip = GuestVirt(entry ? entry : CODE_BASE);
-    }
-
-    /** Instantiate the core model (after all load() calls). */
-    void
-    start()
-    {
-        CoreBuildParams p;
-        p.config = &cfg;
-        for (auto &c : contexts)
-            p.contexts.push_back(c.get());
-        p.aspace = &aspace;
-        p.bbcache = &bbcache;
-        p.sys = &sys;
-        p.stats = &stats;
-        p.prefix = "core0/";
-        p.interlocks = &interlocks;
-        // Machine-level assembly in miniature: the harness owns the
-        // hierarchy and hands the core the narrow handle.
-        hierarchy = std::make_unique<MemoryHierarchy>(cfg, aspace, stats,
-                                                      p.prefix);
-        p.hierarchy = hierarchy.get();
-        core = createCoreModel(cfg.core, p);
-        core->attachAuditor(makeVerifyAuditor(cfg, stats, p.prefix));
-    }
-
-    /** Run until every VCPU blocks (hlt) or max_cycles pass. */
-    U64
-    run(U64 max_cycles = 3'000'000)
-    {
-        ptl_assert(core != nullptr);
-        U64 c = 0;
-        for (; c < max_cycles && !core->allIdle(); c++)
-            core->cycle(SimCycle(c));
-        ptl_assert(core->allIdle());
-        return c;
-    }
-
-    U64 reg(R r, int vcpu = 0) const
-    {
-        return contexts[vcpu]->regs[(int)r];
-    }
-
-    U64
-    readGuest(U64 va, unsigned bytes)
-    {
-        U64 v = 0;
-        guestRead(aspace, *contexts[0], GuestVirt(va), bytes, v);
-        return v;
-    }
-
-    SimConfig cfg;
-    PhysMem mem;
-    AddressSpace aspace;
-    StatsTree stats;
-    BasicBlockCache bbcache;
-    StubSystem sys;
-    InterlockController interlocks;
-    std::vector<std::unique_ptr<Context>> contexts;
-    std::unique_ptr<MemoryHierarchy> hierarchy;  ///< before core: destroyed after it
-    std::unique_ptr<CoreModel> core;
-    std::vector<U8> image;
-    bool image_written = false;
-    Pfn cr3;
 };
 
 }  // namespace ptl

@@ -8,9 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
-
 #include "kernel/guestkernel.h"
 #include "kernel/guestlib.h"
 #include "native/cosim.h"
@@ -156,74 +153,6 @@ TEST(EventQueue, StatsCountersTrackActivity)
     EXPECT_EQ(f.stats.get("eventq/cancelled"), 1ULL);
     EXPECT_EQ(f.stats.get("eventq/fired"), 1ULL);
     EXPECT_EQ(f.stats.get("eventq/peak_pending"), 2ULL);
-}
-
-// ---------------------------------------------------------------------
-// Cross-domain inbox: the one EventQueue surface another Domain's
-// thread may touch (sharding design).
-// ---------------------------------------------------------------------
-
-TEST(EventQueue, CrossDomainPostsDrainAtRunDueInDeterministicOrder)
-{
-    QueueFixture f;
-    // Owner-scheduled events first; crossers posted afterwards get
-    // later seq numbers at drain time, so a same-(due, priority) tie
-    // breaks in favor of the owner's events...
-    f.q.schedule(SimCycle(5), EVPRI_GENERIC, f.mark(1));
-    f.q.schedule(SimCycle(5), EVPRI_GENERIC, f.mark(2));
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    f.q.postCrossDomain(SimCycle(5), EVPRI_GENERIC, f.mark(3), opts);
-    f.q.postCrossDomain(SimCycle(5), EVPRI_GENERIC, f.mark(4), opts);
-    // ...while a higher-priority crosser still fires in its
-    // (due, priority) slot despite being admitted last.
-    f.q.postCrossDomain(SimCycle(5), EVPRI_SNAPSHOT, f.mark(0), opts);
-    // Posts sit in the inbox, not the heap, until the owner drains.
-    EXPECT_EQ(f.q.pendingCount(), 2u);
-    EXPECT_EQ(f.q.runDue(SimCycle(5)), 5);
-    EXPECT_EQ(f.fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, CrossDomainPostsFromManyThreadsAllFire)
-{
-    QueueFixture f;
-    constexpr int kThreads = 4;
-    constexpr int kPosts = 64;
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    std::vector<std::thread> posters;
-    for (int t = 0; t < kThreads; t++) {
-        posters.emplace_back([&f, &opts, t] {
-            for (int i = 0; i < kPosts; i++) {
-                f.q.postCrossDomain(SimCycle(3), EVPRI_GENERIC,
-                                    f.mark(t * kPosts + i), opts);
-            }
-        });
-    }
-    // Joining all posters is this test's stand-in for the epoch
-    // barrier: every post due at cycle C lands before runDue(C).
-    for (std::thread &th : posters)
-        th.join();
-    EXPECT_EQ(f.q.pendingCount(), 0u);  // still in the inbox
-    EXPECT_EQ(f.q.runDue(SimCycle(3)), kThreads * kPosts);
-    // Interleaving across posters is scheduler-dependent, so assert
-    // the set (every tag exactly once), not the order.
-    ASSERT_EQ(f.fired.size(), size_t(kThreads) * kPosts);
-    std::vector<int> sorted = f.fired;
-    std::sort(sorted.begin(), sorted.end());
-    for (int i = 0; i < kThreads * kPosts; i++)
-        EXPECT_EQ(sorted[size_t(i)], i);
-}
-
-TEST(EventQueue, ClearDropsUndrainedCrossDomainPosts)
-{
-    QueueFixture f;
-    EventQueue::Options opts;
-    opts.name = "crosspost";
-    f.q.postCrossDomain(SimCycle(1), EVPRI_GENERIC, f.mark(1), opts);
-    f.q.clear();
-    EXPECT_EQ(f.q.runDue(SimCycle(100)), 0);
-    EXPECT_TRUE(f.fired.empty());
 }
 
 // ---------------------------------------------------------------------

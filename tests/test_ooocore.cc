@@ -50,7 +50,7 @@ void
 progMemoryChurn(Assembler &a)
 {
     // Write then re-read a table with data-dependent addressing.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.mov(R::rcx, 0);
     Label fill = a.label();
     a.mov(R::rax, R::rcx);
@@ -128,13 +128,13 @@ progFlagsTorture(Assembler &a)
 void
 progStringAndDiv(Assembler &a)
 {
-    a.movImm64(R::rdi, CoreRunner::DATA_BASE);
+    a.movImm64(R::rdi, BareMachine::DATA_BASE);
     a.mov(R::rax, 0x5A);
     a.mov(R::rcx, 777);
     a.cld();
     a.repStosb();
-    a.movImm64(R::rsi, CoreRunner::DATA_BASE);
-    a.movImm64(R::rdi, CoreRunner::DATA_BASE + 0x2000);
+    a.movImm64(R::rsi, BareMachine::DATA_BASE);
+    a.movImm64(R::rdi, BareMachine::DATA_BASE + 0x2000);
     a.mov(R::rcx, 777);
     a.repMovsb();
     a.movImm64(R::rax, 123456789123ULL);
@@ -207,9 +207,9 @@ TEST_P(OooEquivalence, MatchesFunctionalEngine)
     }
 
     // Pipelined run with the commit checker armed.
-    CoreRunner ooo(oooConfig());
+    BareMachine ooo(oooConfig());
     {
-        Assembler a(CoreRunner::CODE_BASE);
+        Assembler a(BareMachine::CODE_BASE);
         prog.body(a);
         ooo.load(a);
         ooo.start();
@@ -219,22 +219,22 @@ TEST_P(OooEquivalence, MatchesFunctionalEngine)
     for (int r = 0; r < 16; r++) {
         if (r == (int)R::rsp)
             continue;  // compared below
-        ASSERT_EQ(ooo.contexts[0]->regs[r], ref.ctx.regs[r])
+        ASSERT_EQ(ooo.vcpu(0).regs[r], ref.ctx.regs[r])
             << prog.name << ": GPR " << uopRegName(r);
     }
-    EXPECT_EQ(ooo.contexts[0]->regs[REG_rsp] - (CoreRunner::STACK_TOP - 64),
+    EXPECT_EQ(ooo.vcpu(0).regs[REG_rsp] - (BareMachine::STACK_TOP - 64),
               ref.ctx.regs[REG_rsp] - (GuestRunner::STACK_TOP - 64))
         << prog.name << ": stack depth";
     for (int x = REG_xmm0; x <= REG_xmm15; x++)
-        ASSERT_EQ(ooo.contexts[0]->regs[x], ref.ctx.regs[x])
+        ASSERT_EQ(ooo.vcpu(0).regs[x], ref.ctx.regs[x])
             << prog.name << ": " << uopRegName(x);
     // Same dynamic instruction count.
-    EXPECT_EQ(ooo.stats.get("core0/commit/insns"),
+    EXPECT_EQ(ooo.stats().get("core0/commit/insns"),
               ref.stats.get("commit/insns"))
         << prog.name;
     // Data region contents identical.
     for (U64 off = 0; off < 0x3000; off += 8) {
-        ASSERT_EQ(ooo.readGuest(CoreRunner::DATA_BASE + off, 8),
+        ASSERT_EQ(ooo.readGuest(BareMachine::DATA_BASE + off, 8),
                   ref.readGuest(GuestRunner::DATA_BASE + off, 8))
             << prog.name << " data at +" << off;
     }
@@ -255,8 +255,8 @@ TEST(OooCoreTest, AchievesIlpOnIndependentOps)
 {
     // A long stream of independent single-cycle ops must commit at
     // well above 1 IPC on the 3-wide K8 configuration.
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::r8, 1);
     a.mov(R::r9, 2);
     a.mov(R::r10, 3);
@@ -273,7 +273,7 @@ TEST(OooCoreTest, AchievesIlpOnIndependentOps)
     r.load(a);
     r.start();
     U64 cycles = r.run();
-    U64 insns = r.stats.get("core0/commit/insns");
+    U64 insns = r.stats().get("core0/commit/insns");
     double ipc = (double)insns / (double)cycles;
     EXPECT_GT(ipc, 1.5) << "cycles=" << cycles << " insns=" << insns;
     EXPECT_EQ(r.reg(R::r8), 1 + 5 * 100 * 50ULL);
@@ -281,8 +281,8 @@ TEST(OooCoreTest, AchievesIlpOnIndependentOps)
 
 TEST(OooCoreTest, DependencyChainLimitsIpc)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::rax, 1);
     for (int i = 0; i < 600; i++)
         a.imul(R::rax, R::rax, 3);  // serial 3-cycle chain
@@ -290,7 +290,7 @@ TEST(OooCoreTest, DependencyChainLimitsIpc)
     r.load(a);
     r.start();
     U64 cycles = r.run();
-    U64 insns = r.stats.get("core0/commit/insns");
+    U64 insns = r.stats().get("core0/commit/insns");
     // Each imul takes lat_mul cycles back-to-back.
     EXPECT_GT((double)cycles / (double)insns, 2.0);
 }
@@ -298,8 +298,8 @@ TEST(OooCoreTest, DependencyChainLimitsIpc)
 TEST(OooCoreTest, BranchMispredictsAreCounted)
 {
     // Data-dependent unpredictable-ish branch pattern.
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::rbx, 12345);
     a.mov(R::rcx, 2000);
     a.mov(R::rdx, 0);
@@ -322,22 +322,22 @@ TEST(OooCoreTest, BranchMispredictsAreCounted)
     r.load(a);
     r.start();
     r.run();
-    EXPECT_GT(r.stats.get("core0/branches/cond"), 3000ULL);
-    EXPECT_GT(r.stats.get("core0/branches/mispredicted"), 100ULL);
+    EXPECT_GT(r.stats().get("core0/branches/cond"), 3000ULL);
+    EXPECT_GT(r.stats().get("core0/branches/mispredicted"), 100ULL);
     // The loop-closing branch trains perfectly, so the rate is < 50%.
-    EXPECT_LT(r.stats.get("core0/branches/mispredicted"),
-              r.stats.get("core0/branches/cond") / 2);
+    EXPECT_LT(r.stats().get("core0/branches/mispredicted"),
+              r.stats().get("core0/branches/cond") / 2);
 }
 
 TEST(OooCoreTest, StoreToLoadForwardingCounted)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     progStoreLoadForwarding(a);
     r.load(a);
     r.start();
     r.run();
-    EXPECT_GT(r.stats.get("core0/lsq/forwards"), 100ULL);
+    EXPECT_GT(r.stats().get("core0/lsq/forwards"), 100ULL);
 }
 
 TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
@@ -351,12 +351,12 @@ TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
     constexpr U64 ALIAS = 0x5000000;
     SimConfig cfg = oooConfig();
     cfg.load_hoisting = true;
-    CoreRunner r(cfg);
-    Pfn mfn = r.aspace.walk(r.cr3, GuestVirt(CoreRunner::DATA_BASE)).mfn;
-    r.aspace.map(r.cr3, GuestVirt(ALIAS), mfn,
+    BareMachine r(cfg);
+    Pfn mfn = r.addressSpace().walk(r.cr3(), GuestVirt(BareMachine::DATA_BASE)).mfn;
+    r.addressSpace().map(r.cr3(), GuestVirt(ALIAS), mfn,
                  Pte::RW | Pte::US | Pte::NX);
 
-    Assembler a(CoreRunner::CODE_BASE);
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::rcx, 100);
     a.mov(R::r8, 0);
     Label top = a.label();
@@ -374,8 +374,8 @@ TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
     a.jcc(COND_ne, top);
     a.hlt();
     r.load(a);
-    r.contexts[0]->regs[REG_rdi] = CoreRunner::DATA_BASE + 0x40;
-    r.contexts[0]->regs[REG_rsi] = ALIAS + 0x40;
+    r.vcpu(0).regs[REG_rdi] = BareMachine::DATA_BASE + 0x40;
+    r.vcpu(0).regs[REG_rsi] = ALIAS + 0x40;
     r.start();
     r.run();
     EXPECT_EQ(r.reg(R::r8), 5050ULL);
@@ -383,14 +383,14 @@ TEST(OooCoreTest, DisambiguationUsesPhysicalAddresses)
 
 TEST(OooCoreTest, ReturnAddressStackPredictsReturns)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     progCallsAndStack(a);
     r.load(a);
     r.start();
     r.run();
-    U64 rets = r.stats.get("core0/branches/indirect");
-    U64 miss = r.stats.get("core0/branches/indirect_mispredicted");
+    U64 rets = r.stats().get("core0/branches/indirect");
+    U64 miss = r.stats().get("core0/branches/indirect_mispredicted");
     EXPECT_GT(rets, 100ULL);
     // Top-pointer-repair RAS (as on real K8): wrong-path pops/pushes
     // after leaf-branch mispredicts corrupt some slots, so recursive
@@ -402,11 +402,11 @@ TEST(OooCoreTest, LoadHoistingFlushesOnViolation)
 {
     SimConfig cfg = oooConfig();
     cfg.load_hoisting = true;
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(cfg);
+    Assembler a(BareMachine::CODE_BASE);
     // Store with a slow-to-resolve address followed by a load of the
     // same location: hoisted loads must be squashed and re-run.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.movStoreImm32(Mem::at(R::rbx), 1111);
     a.mov(R::rcx, 100);
     a.mov(R::r8, 0);
@@ -428,14 +428,14 @@ TEST(OooCoreTest, LoadHoistingFlushesOnViolation)
     // Functional result must be exact despite speculation: sum of
     // rcx values 100..1.
     EXPECT_EQ(r.reg(R::r8), 5050ULL);
-    EXPECT_GT(r.stats.get("core0/lsq/hoist_flushes"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/lsq/hoist_flushes"), 0ULL);
 }
 
 TEST(OooCoreTest, NoHoistingWaitsInstead)
 {
-    CoreRunner r(oooConfig());  // K8 preset: hoisting off
-    Assembler a(CoreRunner::CODE_BASE);
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    BareMachine r(oooConfig());  // K8 preset: hoisting off
+    Assembler a(BareMachine::CODE_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.mov(R::rcx, 50);
     a.mov(R::r8, 0);
     Label top = a.label();
@@ -449,13 +449,13 @@ TEST(OooCoreTest, NoHoistingWaitsInstead)
     r.start();
     r.run();
     EXPECT_EQ(r.reg(R::r8), 1275ULL);  // 50+49+...+1
-    EXPECT_EQ(r.stats.get("core0/lsq/hoist_flushes"), 0ULL);
+    EXPECT_EQ(r.stats().get("core0/lsq/hoist_flushes"), 0ULL);
 }
 
 TEST(OooCoreTest, DivideFaultIsPrecise)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     Label handler = a.newLabel();
     a.mov(R::rbx, 111);            // committed before the fault
     a.mov(R::rdx, 0);
@@ -468,8 +468,8 @@ TEST(OooCoreTest, DivideFaultIsPrecise)
     a.pop(R::rsi);                 // fault word
     a.hlt();
     r.load(a);
-    r.contexts[0]->event_callback = a.labelVa(handler);
-    r.contexts[0]->kernel_sp = CoreRunner::STACK_TOP - 0x1000;
+    r.vcpu(0).event_callback = a.labelVa(handler);
+    r.vcpu(0).kernel_sp = BareMachine::STACK_TOP - 0x1000;
     r.start();
     r.run();
     EXPECT_EQ(r.reg(R::rbx), 111ULL);
@@ -478,8 +478,8 @@ TEST(OooCoreTest, DivideFaultIsPrecise)
 
 TEST(OooCoreTest, SelfModifyingCodeFlushesPipeline)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     Label again = a.newLabel(), done = a.newLabel();
     Label site = a.newLabel();
     a.mov(R::rbx, 0);
@@ -499,13 +499,13 @@ TEST(OooCoreTest, SelfModifyingCodeFlushesPipeline)
     r.start();
     r.run();
     EXPECT_EQ(r.reg(R::rax), 2ULL);
-    EXPECT_GT(r.stats.get("bbcache/smc_invalidations"), 0ULL);
+    EXPECT_GT(r.stats().get("bbcache/smc_invalidations"), 0ULL);
 }
 
 TEST(OooCoreTest, EventDeliveryAtInstructionBoundary)
 {
-    CoreRunner r(oooConfig());
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(oooConfig());
+    Assembler a(BareMachine::CODE_BASE);
     Label handler = a.newLabel(), spin = a.newLabel();
     a.mov(R::rax, 0);
     a.sti();
@@ -519,28 +519,28 @@ TEST(OooCoreTest, EventDeliveryAtInstructionBoundary)
     a.mov(R::rbx, 1);
     a.iretq();
     r.load(a);
-    r.contexts[0]->event_callback = a.labelVa(handler);
-    r.contexts[0]->kernel_sp = CoreRunner::STACK_TOP - 0x1000;
-    r.contexts[0]->regs[REG_rbx] = 0;
+    r.vcpu(0).event_callback = a.labelVa(handler);
+    r.vcpu(0).kernel_sp = BareMachine::STACK_TOP - 0x1000;
+    r.vcpu(0).regs[REG_rbx] = 0;
     r.start();
     // Run a while, then raise the event.
     for (U64 c = 0; c < 2000; c++)
-        r.core->cycle(SimCycle(c));
-    r.contexts[0]->event_pending = true;
-    for (U64 c = 2000; c < 100000 && !r.core->allIdle(); c++)
-        r.core->cycle(SimCycle(c));
-    EXPECT_TRUE(r.core->allIdle());
+        r.core(0).cycle(SimCycle(c));
+    r.vcpu(0).event_pending = true;
+    for (U64 c = 2000; c < 100000 && !r.core(0).allIdle(); c++)
+        r.core(0).cycle(SimCycle(c));
+    EXPECT_TRUE(r.core(0).allIdle());
     EXPECT_EQ(r.reg(R::rbx), 1ULL);
-    EXPECT_GT(r.stats.get("core0/commit/events_delivered"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/commit/events_delivered"), 0ULL);
 }
 
 TEST(OooCoreTest, DcacheMissesStallLoads)
 {
     SimConfig cfg = oooConfig();
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(cfg);
+    Assembler a(BareMachine::CODE_BASE);
     // Pointer-chase through a large stride to defeat the L1.
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.mov(R::rcx, 200);
     a.mov(R::rax, 0);
     Label top = a.label();
@@ -554,9 +554,9 @@ TEST(OooCoreTest, DcacheMissesStallLoads)
     r.load(a);
     r.start();
     U64 cycles = r.run();
-    EXPECT_GT(r.stats.get("core0/dcache/misses"), 150ULL);
-    EXPECT_GT(r.stats.get("core0/dtlb/misses"), 100ULL);
-    EXPECT_GT(r.stats.get("core0/walker/walks"), 100ULL);
+    EXPECT_GT(r.stats().get("core0/dcache/misses"), 150ULL);
+    EXPECT_GT(r.stats().get("core0/dtlb/misses"), 100ULL);
+    EXPECT_GT(r.stats().get("core0/walker/walks"), 100ULL);
     // The independent misses overlap through the 8 MSHRs (memory-level
     // parallelism), so the bound is mem_latency * misses / mshr_count.
     EXPECT_GT(cycles, 200ULL * 112 / 8);
@@ -572,7 +572,7 @@ TEST(OooCoreTest, DcacheMissesStallLoads)
 void
 progSerialMissChain(Assembler &a)
 {
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.mov(R::rcx, 64);
     a.mov(R::rax, 0);
     Label top = a.label();
@@ -591,23 +591,23 @@ TEST(OooCoreTest, SkipAheadCoversLongStalls)
 {
     SimConfig cfg = oooConfig();     // commit checker stays on: every
     ASSERT_TRUE(cfg.skip_ahead);     // committed uop is lockstep-checked
-    CoreRunner r(cfg);
-    Assembler a(CoreRunner::CODE_BASE);
+    BareMachine r(cfg);
+    Assembler a(BareMachine::CODE_BASE);
     progSerialMissChain(a);
     r.load(a);
     r.start();
     r.run();
     EXPECT_EQ(r.reg(R::rax), 0ULL);
     EXPECT_EQ(r.reg(R::rcx), 0ULL);
-    EXPECT_GT(r.stats.get("core0/dcache/misses"), 50ULL);
+    EXPECT_GT(r.stats().get("core0/dcache/misses"), 50ULL);
     // The serial chain stalls the whole core for ~memory latency per
     // iteration; the fast path must absorb most of those cycles.
-    EXPECT_GT(r.stats.get("core0/ooocore/skipped_cycles"), 1000ULL);
-    EXPECT_GT(r.stats.get("core0/ooocore/select_fast_skips"), 0ULL);
-    EXPECT_GT(r.stats.get("core0/ooocore/wakeup_broadcasts"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/skipped_cycles"), 1000ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/select_fast_skips"), 0ULL);
+    EXPECT_GT(r.stats().get("core0/ooocore/wakeup_broadcasts"), 0ULL);
     // Skipped cycles still count as simulated cycles.
-    EXPECT_GT(r.stats.get("core0/cycles"),
-              r.stats.get("core0/ooocore/skipped_cycles"));
+    EXPECT_GT(r.stats().get("core0/cycles"),
+              r.stats().get("core0/ooocore/skipped_cycles"));
 }
 
 TEST(OooCoreTest, SkipAheadIsDeterministic)
@@ -622,18 +622,18 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
     for (int skip = 0; skip < 2; skip++) {
         SimConfig cfg = oooConfig();
         cfg.skip_ahead = (skip == 1);
-        CoreRunner r(cfg);
-        Assembler a(CoreRunner::CODE_BASE);
+        BareMachine r(cfg);
+        Assembler a(BareMachine::CODE_BASE);
         progSerialMissChain(a);
         r.load(a);
         r.start();
         cycles[skip] = r.run();
         rax[skip] = r.reg(R::rax);
         rsp[skip] = r.reg(R::rsp);
-        insns[skip] = r.stats.get("core0/commit/insns");
-        uops[skip] = r.stats.get("core0/commit/uops");
-        branches[skip] = r.stats.get("core0/branches/total");
-        skipped[skip] = r.stats.get("core0/ooocore/skipped_cycles");
+        insns[skip] = r.stats().get("core0/commit/insns");
+        uops[skip] = r.stats().get("core0/commit/uops");
+        branches[skip] = r.stats().get("core0/branches/total");
+        skipped[skip] = r.stats().get("core0/ooocore/skipped_cycles");
     }
     EXPECT_EQ(cycles[0], cycles[1]);
     EXPECT_EQ(rax[0], rax[1]);

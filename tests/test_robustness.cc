@@ -107,12 +107,12 @@ TEST(Kernel, GuestCrashReportsAndShutsDown)
 
 TEST(OooDebug, DebugStateRendersPipeline)
 {
-    CoreRunner r([] {
+    BareMachine r([] {
         SimConfig cfg = SimConfig::preset("k8");
         cfg.core = "ooo";
         return cfg;
     }());
-    Assembler a(CoreRunner::CODE_BASE);
+    Assembler a(BareMachine::CODE_BASE);
     a.mov(R::rcx, 100);
     Label top = a.label();
     a.imul(R::rax, R::rcx);
@@ -124,9 +124,9 @@ TEST(OooDebug, DebugStateRendersPipeline)
     // Run past the cold I-cache fill so the ROB holds in-flight work.
     std::string dump;
     for (U64 c = 0; c < 2000; c++) {
-        r.core->cycle(SimCycle(c));
+        r.core(0).cycle(SimCycle(c));
         if (c > 200) {
-            dump = r.core->debugState();
+            dump = r.core(0).debugState();
             if (dump.find("rob[") != std::string::npos)
                 break;
         }

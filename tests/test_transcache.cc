@@ -9,6 +9,7 @@
  * fault semantics.
  */
 
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -19,6 +20,23 @@ namespace ptl {
 namespace {
 
 constexpr U64 DATA_BASE = GuestRunner::DATA_BASE;
+
+TEST(TransCache, ShadowWalkGateIsTheSameForEveryMachine)
+{
+    for (bool verify : {false, true}) {
+        SimConfig cfg = SimConfig::preset("k8");
+        cfg.guest_mem_bytes = 32 << 20;
+        cfg.verify = verify;
+        Machine full(cfg);
+        BareMachine bare(cfg);
+        const bool shadow = bare.addressSpace().transCache().shadowEnabled();
+        EXPECT_EQ(full.addressSpace().transCache().shadowEnabled(), shadow)
+            << "verify=" << verify;
+        if (verify || std::getenv("PTLSIM_VERIFY") == nullptr) {
+            EXPECT_EQ(shadow, verify);
+        }
+    }
+}
 
 TEST(TransCache, HitMissAndFlushCounting)
 {

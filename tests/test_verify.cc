@@ -29,7 +29,7 @@ verifyConfig()
 void
 churnProgram(Assembler &a)
 {
-    a.movImm64(R::rbx, CoreRunner::DATA_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
     a.mov(R::rcx, 0);
     Label top = a.label();
     a.mov(R::rax, R::rcx);
@@ -43,62 +43,60 @@ churnProgram(Assembler &a)
     a.hlt();
 }
 
-/** Harness: an OoO core mid-flight through the churn program. */
-class VerifyRig
+/** Load the churn program and build the OoO core. */
+void
+startChurn(BareMachine &m)
 {
-  public:
-    explicit VerifyRig(SimConfig cfg = verifyConfig()) : runner(cfg)
-    {
-        Assembler a(CoreRunner::CODE_BASE);
-        churnProgram(a);
-        runner.load(a);
-        runner.start();
+    Assembler a(BareMachine::CODE_BASE);
+    churnProgram(a);
+    m.load(a);
+    m.start();
+}
+
+OooCore &
+oooCore(BareMachine &m)
+{
+    return static_cast<OooCore &>(m.core(0));
+}
+
+/**
+ * Cycle the pipeline, offering `corrupt` a chance after each cycle
+ * until it reports it found state to damage. Returns false if the
+ * program drained without the corruption ever applying.
+ */
+template <typename Fn>
+bool
+corruptMidFlight(BareMachine &m, Fn &&corrupt, U64 max_cycles = 200000)
+{
+    while (m.now().raw() < max_cycles && !m.allIdle()) {
+        m.tick();
+        if (corrupt(oooCore(m)))
+            return true;
     }
+    return false;
+}
 
-    OooCore &core() { return static_cast<OooCore &>(*runner.core); }
-
-    /**
-     * Cycle the pipeline, offering `corrupt` a chance after each cycle
-     * until it reports it found state to damage. Returns false if the
-     * program drained without the corruption ever applying.
-     */
-    template <typename Fn>
-    bool
-    corruptMidFlight(Fn &&corrupt, U64 max_cycles = 200000)
-    {
-        for (; now.raw() < max_cycles && !runner.core->allIdle();
-             ++now) {
-            runner.core->cycle(now);
-            if (corrupt(core()))
-                return true;
-        }
-        return false;
-    }
-
-    /** Audit in Count mode and return the violation count. */
-    int
-    audit(InvariantChecker &chk)
-    {
-        return chk.checkCore(core(), now);
-    }
-
-    CoreRunner runner;
-    SimCycle now;
-};
+/** Audit in Count mode and return the violation count. */
+int
+audit(BareMachine &m, InvariantChecker &chk)
+{
+    return chk.checkCore(oooCore(m), m.now());
+}
 
 TEST(VerifyTest, CleanPipelinePassesEveryCycleAudit)
 {
-    VerifyRig rig;
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
     int violations = 0;
-    for (; rig.now.raw() < 200000 && !rig.runner.core->allIdle();
-         ++rig.now) {
-        rig.runner.core->cycle(rig.now);
-        if (rig.now.raw() % 16 == 0)
-            violations += rig.audit(chk);
+    while (rig.now().raw() < 200000 && !rig.allIdle()) {
+        const bool audit_now = rig.now().raw() % 16 == 0;
+        rig.tick();
+        if (audit_now)
+            violations += audit(rig, chk);
     }
-    EXPECT_TRUE(rig.runner.core->allIdle()) << "program never drained";
+    EXPECT_TRUE(rig.allIdle()) << "program never drained";
     EXPECT_EQ(violations, 0);
     EXPECT_GT(chk.counters().checks.value(), 0u);
     EXPECT_EQ(chk.counters().violations.value(), 0u);
@@ -106,37 +104,40 @@ TEST(VerifyTest, CleanPipelinePassesEveryCycleAudit)
 
 TEST(VerifyTest, DetectsRobCountCorruption)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptRobCount(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().rob_count.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsRobAgeOrderCorruption)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptRobOrder(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().rob_order.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsLsqAgeCorruption)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptLsqAge(c, 0);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().lsq_age.value()
                   + chk.counters().lsq_state.value(),
               0u);
@@ -144,37 +145,40 @@ TEST(VerifyTest, DetectsLsqAgeCorruption)
 
 TEST(VerifyTest, DetectsPhysicalRegisterLeak)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptPrfLeak(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().prf_leak.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsPhysicalRegisterDoubleFree)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptPrfDoubleFree(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().prf_double_free.value(), 0u);
 }
 
 TEST(VerifyTest, DetectsIssueQueueScoreboardBreak)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptIqReady(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Count);
-    EXPECT_GT(rig.audit(chk), 0);
+    EXPECT_GT(audit(rig, chk), 0);
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
 }
 
@@ -202,13 +206,14 @@ TEST(VerifyTest, DetectsIllegalMesiDirectoryState)
 
 TEST(VerifyTest, PanicModeDiesOnCorruption)
 {
-    VerifyRig rig;
-    ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
         return VerifyTestHook::corruptPrfDoubleFree(c);
     }));
-    InvariantChecker chk(rig.runner.stats, "verify/",
+    InvariantChecker chk(rig.stats(), "verify/",
                          InvariantChecker::Action::Panic);
-    EXPECT_DEATH(chk.checkCore(rig.core(), rig.now), "double.free|free list");
+    EXPECT_DEATH(chk.checkCore(oooCore(rig), rig.now()), "double.free|free list");
 }
 
 TEST(VerifyTest, LockstepCatchesShadowRegisterDivergence)
@@ -217,15 +222,16 @@ TEST(VerifyTest, LockstepCatchesShadowRegisterDivergence)
     cfg.commit_checker = true;
     EXPECT_DEATH(
         {
-            VerifyRig rig(cfg);
+            BareMachine rig(cfg);
+            startChurn(rig);
             // Flip one architectural register bit in the reference's
             // shadow context; the next commits must detect that the
             // pipeline and the reference no longer agree.
-            ASSERT_TRUE(rig.corruptMidFlight([](OooCore &c) {
+            ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
                 return VerifyTestHook::skewShadowReg(c, 0, REG_rdx);
             }));
-            for (int i = 0; i < 10000 && !rig.runner.core->allIdle(); i++)
-                rig.runner.core->cycle(++rig.now);
+            for (int i = 0; i < 10000 && !rig.allIdle(); i++)
+                rig.tick();
         },
         "lockstep divergence");
 }
