@@ -37,7 +37,7 @@ U64
 runWorkload(const char *label, const char *memory_json)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(memory_json);
+    cfg.applyJson(memory_json);
     BareMachine m(cfg);
 
     // Two passes over the buffer, one line per iteration; the next

@@ -66,15 +66,4 @@ createCoreModel(const std::string &name, const CoreBuildParams &params)
     return factory(params);
 }
 
-std::vector<std::string>
-coreModelNames()
-{
-    ensureBuiltins();
-    LockGuard g(registry_mu);
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : registryLocked())
-        names.push_back(name);
-    return names;
-}
-
 }  // namespace ptl

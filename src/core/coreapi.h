@@ -166,9 +166,6 @@ void registerCoreModel(const std::string &name, CoreFactory factory);
 std::unique_ptr<CoreModel> createCoreModel(const std::string &name,
                                            const CoreBuildParams &params);
 
-/** Names of all registered models. */
-std::vector<std::string> coreModelNames();
-
 /** Helper object whose constructor registers a model. */
 struct CoreModelRegistration
 {

@@ -345,8 +345,6 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
                         std::max(slot.wake_cycle, now + cycles(1));
                     if (at < iq.next_wake)
                         iq.next_wake = at;
-                } else {
-                    iq.waiting++;
                 }
                 iq.used++;
                 if (qidx != fp_queue_index)

@@ -209,18 +209,6 @@ OooCore::dropRefPhys(int phys)
         freePhys(phys);
 }
 
-bool
-OooCore::physReadyFor(int phys, int consumer_cluster, SimCycle now) const
-{
-    if (phys < 0)
-        return true;
-    const PhysReg &reg = prf[phys];
-    if (!reg.ready)
-        return false;
-    // Inter-cluster bypass delay (e.g. K8's FP cluster 2 cycles away).
-    return effectiveReadyCycle(reg, consumer_cluster) <= now;
-}
-
 void
 OooCore::broadcastReady(int phys)
 {
@@ -247,11 +235,8 @@ OooCore::broadcastReady(int phys)
         SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
         if (eff > slot.wake_cycle)
             slot.wake_cycle = eff;
-        if (slot.ready_mask == IQ_ALL_READY) {
-            iq.waiting--;
-            if (slot.wake_cycle < iq.next_wake)
-                iq.next_wake = slot.wake_cycle;
-        }
+        if (slot.ready_mask == IQ_ALL_READY && slot.wake_cycle < iq.next_wake)
+            iq.next_wake = slot.wake_cycle;
     }
     w.n = 0;
 }
@@ -261,7 +246,7 @@ OooCore::broadcastScan(int phys)
 {
     const PhysReg &reg = prf[phys];
     for (IssueQueue &iq : queues) {
-        if (iq.waiting == 0)
+        if (iq.used == 0)
             continue;
         SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
         for (IqEntry &slot : iq.slots) {
@@ -281,11 +266,8 @@ OooCore::broadcastScan(int phys)
             // candidate, so the queue's skip stamp must cover it.
             // (retry_cycle is still zero here — replays require a
             // prior issue attempt, which requires a full mask.)
-            if (mask == IQ_ALL_READY) {
-                iq.waiting--;
-                if (slot.wake_cycle < iq.next_wake)
-                    iq.next_wake = slot.wake_cycle;
-            }
+            if (mask == IQ_ALL_READY && slot.wake_cycle < iq.next_wake)
+                iq.next_wake = slot.wake_cycle;
         }
     }
 }
@@ -328,8 +310,6 @@ OooCore::squashYounger(Thread &t, int rob_idx, SimCycle /*now*/)
             for (IqEntry &slot : iq.slots) {
                 if (slot.valid && (int)slot.thread == tid
                     && (int)slot.rob == last) {
-                    if (slot.ready_mask != IQ_ALL_READY)
-                        iq.waiting--;
                     slot.valid = false;
                     iq.used--;
                     if (e.cluster != queues[fp_queue_index].cluster)
@@ -381,8 +361,6 @@ OooCore::flushThread(Thread &t)
     for (IssueQueue &iq : queues) {
         for (IqEntry &slot : iq.slots) {
             if (slot.valid && slot.thread == tid) {
-                if (slot.ready_mask != IQ_ALL_READY)
-                    iq.waiting--;
                 slot.valid = false;
                 iq.used--;
             }
@@ -659,29 +637,6 @@ OooCore::sleepCore(SimCycle now)
     if (!backend_due.never())
         fold(std::max(backend_due, now + cycles(1)));
     idle_until = wake;
-}
-
-void
-OooCore::validateInterlocks() const
-{
-    for (const auto &[paddr, owner] : interlocks->heldLocks()) {
-        if (owner / 16 != core_id)
-            continue;
-        int tid = owner % 16;
-        if (tid >= (int)threads.size())
-            panic("interlock owner %d has no thread", owner);
-        const Thread &t = threads[tid];
-        bool found = false;
-        for (const LsqEntry &l : t.ldq)
-            found |= (l.valid && l.lock_acquired
-                      && (l.paddr.raw() >> 3) == (paddr >> 3));
-        for (const LsqEntry &l : t.stq)
-            found |= (l.valid && l.lock_acquired
-                      && (l.paddr.raw() >> 3) == (paddr >> 3));
-        if (!found)
-            panic("orphaned interlock paddr=%llx owner=%d",
-                  (unsigned long long)paddr, owner);
-    }
 }
 
 std::string

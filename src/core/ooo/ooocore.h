@@ -95,10 +95,6 @@ class OooCore : public CoreModel
         idle_until = SimCycle(0);
     }
 
-    /** Invariant check: every interlock owned by this core's threads
-     *  must be held by a live LSQ entry. panic()s on an orphan. */
-    void validateInterlocks() const;
-
     /**
      * Run the attached auditor once (ROB/LSQ/PRF/issue queues, plus
      * the coherence directory when multi-core). Returns the violation
@@ -209,10 +205,6 @@ class OooCore : public CoreModel
         std::vector<IqEntry> slots;
         int cluster = 0;
         int used = 0;
-        /** Valid slots whose ready mask is still incomplete. Broadcast
-         *  skips the whole queue when zero — entries that already have
-         *  every operand cannot match a new tag. */
-        int waiting = 0;
         /**
          * Lower bound on the earliest cycle any entry here can issue;
          * select skips the whole queue while next_wake > now. Lowered
@@ -291,7 +283,6 @@ class OooCore : public CoreModel
     void freePhys(int phys);
     void addRefPhys(int phys);
     void dropRefPhys(int phys);
-    bool physReadyFor(int phys, int consumer_cluster, SimCycle now) const;
     /** Cycle `reg`'s value is usable from `consumer_cluster`, with the
      *  inter-cluster bypass delay applied. The single readiness
      *  predicate shared by dispatch seeding, wakeup broadcast and the
@@ -345,7 +336,6 @@ class OooCore : public CoreModel
      *  no pipeline activity, snapshot per-thread running state, and
      *  arm idle_until. */
     void sleepCore(SimCycle now);
-    RobEntry &robAt(Thread &t, int idx) { return t.rob[idx]; }
     int robNext(const Thread &t, int idx) const
     {
         return (idx + 1) % (int)t.rob.size();

@@ -1,11 +1,15 @@
 #include "lib/config.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <concepts>
 #include <cstdlib>
-#include <functional>
-#include <map>
-#include <sstream>
+#include <limits>
+#include <span>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "lib/logging.h"
@@ -57,34 +61,9 @@ SimConfig::preset(const std::string &name)
         // files sized so the ROB is the bottleneck, no load hoisting,
         // 8-bank L1D, 64K 2-way L1 caches, 1M 16-way L2 at 10 cycles,
         // memory at 112 cycles, 32-entry DTLB/ITLB, 16K gshare predictor.
-        c.core_freq_hz = 2'200'000'000ULL;
-        c.fetch_width = 3;
-        c.frontend_width = 3;
-        c.issue_width_per_cluster = 3;
-        c.commit_width = 3;
-        c.rob_size = 72;
-        c.ldq_size = 44;
-        c.stq_size = 44;
-        c.int_prf_size = 128;
-        c.fp_prf_size = 128;
-        c.int_iq_count = 3;
-        c.int_iq_size = 8;
-        c.fp_iq_size = 36;
-        c.fp_cluster_delay = 2;
-        c.load_hoisting = false;
-        c.enforce_banking = true;
-        c.l1i = CacheParams{64 << 10, 2, 64, 1, 8, 1};
-        c.l1d = CacheParams{64 << 10, 2, 64, 3, 8, 8};
-        c.l2 = CacheParams{1 << 20, 16, 64, 10, 16, 1};
-        c.l3.size_bytes = 0;
-        c.mem_latency = 112;
-        c.dtlb_entries = 32;
-        c.itlb_entries = 32;
-        c.tlb2_entries = 0;
-        c.pde_cache = false;
+        // The SimConfig defaults are this machine; only the predictor
+        // family differs.
         c.predictor = PredictorKind::Gshare;
-        c.gshare_entries = 16384;
-        c.gshare_history = 12;
         return c;
     }
     if (name == "k8-native") {
@@ -104,200 +83,231 @@ SimConfig::preset(const std::string &name)
 
 namespace {
 
-PredictorKind
-parsePredictor(const std::string &v)
+/** A pointer to one settable SimConfig field, whatever its type. */
+using FieldRef = std::variant<int *, U64 *, bool *, std::string *,
+                              PredictorKind *, CoherenceKind *, SmtPolicy *,
+                              ReplKind *, MemBackendKind *>;
+
+/** One schema row: a version-1 JSON key and the field it sets. */
+struct Field
 {
-    if (v == "bimodal") return PredictorKind::Bimodal;
-    if (v == "gshare") return PredictorKind::Gshare;
-    if (v == "hybrid") return PredictorKind::Hybrid;
-    if (v == "taken") return PredictorKind::Taken;
-    if (v == "nottaken") return PredictorKind::NotTaken;
-    fatal("unknown predictor kind '%s'", v.c_str());
-}
+    const char *key;
+    FieldRef (*ref)(SimConfig &c);
+};
 
-CoherenceKind
-parseCoherence(const std::string &v)
-{
-    if (v == "instant") return CoherenceKind::InstantVisibility;
-    if (v == "moesi") return CoherenceKind::Moesi;
-    fatal("unknown coherence kind '%s'", v.c_str());
-}
+// FIELD rows use the field name as the key. KEY rows spell it out:
+// the memory keys keep their version-1 names, where "group.name" is
+// one level of nesting in the JSON text. A group's rows stay
+// contiguous so toJson() can nest them.
+#define FIELD(member) KEY(#member, member)
+#define KEY(key, member) \
+    {key, [](SimConfig &c) -> FieldRef { return &c.member; }}
 
-SmtPolicy
-parseSmtPolicy(const std::string &v)
-{
-    if (v == "roundrobin") return SmtPolicy::RoundRobin;
-    if (v == "icount") return SmtPolicy::Icount;
-    fatal("unknown SMT policy '%s'", v.c_str());
-}
+const Field kFields[] = {
+    FIELD(core_freq_hz),
+    FIELD(vcpu_count),
+    FIELD(snapshot_interval),
+    FIELD(timer_hz),
+    FIELD(guest_mem_bytes),
+    FIELD(seed),
+    FIELD(shuffle_mfns),
+    FIELD(core),
+    FIELD(smt_threads),
+    FIELD(fetch_width),
+    FIELD(frontend_width),
+    FIELD(issue_width_per_cluster),
+    FIELD(commit_width),
+    FIELD(fetch_queue_size),
+    FIELD(rob_size),
+    FIELD(ldq_size),
+    FIELD(stq_size),
+    FIELD(int_prf_size),
+    FIELD(fp_prf_size),
+    FIELD(int_iq_count),
+    FIELD(int_iq_size),
+    FIELD(fp_iq_size),
+    FIELD(fp_cluster_delay),
+    FIELD(frontend_stages),
+    FIELD(mispredict_penalty),
+    FIELD(load_hoisting),
+    FIELD(enforce_banking),
+    FIELD(skip_ahead),
+    FIELD(lat_alu),
+    FIELD(lat_mul),
+    FIELD(lat_div),
+    FIELD(lat_fp),
+    FIELD(lat_ld),
+    KEY("l1i.size", l1i.size_bytes),
+    KEY("l1i.ways", l1i.ways),
+    KEY("l1i.repl", l1i.repl),
+    KEY("l1d.size", l1d.size_bytes),
+    KEY("l1d.ways", l1d.ways),
+    KEY("l1d.latency", l1d.latency),
+    KEY("l1d.banks", l1d.banks),
+    KEY("l1d.repl", l1d.repl),
+    KEY("l2.size", l2.size_bytes),
+    KEY("l2.ways", l2.ways),
+    KEY("l2.latency", l2.latency),
+    KEY("l2.repl", l2.repl),
+    KEY("l3.size", l3.size_bytes),
+    KEY("l3.ways", l3.ways),
+    KEY("l3.latency", l3.latency),
+    KEY("l3.repl", l3.repl),
+    FIELD(mem_latency),
+    KEY("backend", membackend.kind),
+    KEY("dram.banks", membackend.dram_banks),
+    KEY("dram.row_bytes", membackend.row_bytes),
+    KEY("dram.t_cas", membackend.t_cas),
+    KEY("dram.t_rcd", membackend.t_rcd),
+    KEY("dram.t_rp", membackend.t_rp),
+    KEY("edram.size", membackend.edram_size_bytes),
+    KEY("edram.ways", membackend.edram_ways),
+    KEY("edram.line_bytes", membackend.edram_line_bytes),
+    KEY("edram.latency", membackend.edram_latency),
+    KEY("pcm.read_latency", membackend.pcm_read_latency),
+    KEY("pcm.write_latency", membackend.pcm_write_latency),
+    KEY("pcm.deferred_writes", membackend.deferred_writes),
+    FIELD(dtlb_entries),
+    FIELD(itlb_entries),
+    FIELD(tlb2_entries),
+    FIELD(tlb2_ways),
+    FIELD(pde_cache),
+    FIELD(hw_prefetch),
+    FIELD(coherence),
+    FIELD(interconnect_latency),
+    FIELD(predictor),
+    FIELD(gshare_entries),
+    FIELD(gshare_history),
+    FIELD(bimodal_entries),
+    FIELD(meta_entries),
+    FIELD(btb_entries),
+    FIELD(btb_ways),
+    FIELD(ras_entries),
+    FIELD(smt_policy),
+    FIELD(smt_deadlock_timeout),
+    FIELD(native_ipc_x1000),
+    FIELD(commit_checker),
+    FIELD(verify),
+    FIELD(verify_interval),
+    FIELD(net_latency_us),
+    FIELD(disk_latency_us),
+    FIELD(mask_external_interrupts),
+};
 
-ReplKind
-parseRepl(const std::string &v)
-{
-    if (v == "lru") return ReplKind::Lru;
-    if (v == "tree-plru" || v == "plru") return ReplKind::TreePlru;
-    if (v == "random") return ReplKind::Random;
-    fatal("unknown replacement policy '%s'", v.c_str());
-}
+#undef FIELD
+#undef KEY
 
-MemBackendKind
-parseBackend(const std::string &v)
-{
-    if (v == "fixed") return MemBackendKind::Fixed;
-    if (v == "banked" || v == "banked-dram") return MemBackendKind::BankedDram;
-    if (v == "hybrid") return MemBackendKind::Hybrid;
-    fatal("unknown memory backend '%s'", v.c_str());
-}
+// Enum value names, indexed by enumerator (declaration order in
+// config.h); each value has exactly one.
+constexpr const char *kPredictorNames[] = {"bimodal", "gshare", "hybrid",
+                                           "taken", "nottaken"};
+constexpr const char *kCoherenceNames[] = {"instant", "moesi"};
+constexpr const char *kSmtPolicyNames[] = {"roundrobin", "icount"};
+constexpr const char *kReplNames[] = {"lru", "tree-plru", "random"};
+constexpr const char *kBackendNames[] = {"fixed", "banked", "hybrid"};
 
-}  // namespace
+using Names = std::span<const char *const>;
+Names names(PredictorKind *) { return kPredictorNames; }
+Names names(CoherenceKind *) { return kCoherenceNames; }
+Names names(SmtPolicy *) { return kSmtPolicyNames; }
+Names names(ReplKind *) { return kReplNames; }
+Names names(MemBackendKind *) { return kBackendNames; }
 
+// ---- value text -> field (strict: the whole text must parse) ----
+
+/** An int or U64 field: strtoull syntax (0x hex, leading-0 octal),
+ *  no trailing characters, in range for the field, and no sign for
+ *  U64. */
+template <std::integral T>
 void
-SimConfig::applyOption(const std::string &option)
+parseValue(const char *key, const std::string &v, T *dst)
 {
-    auto eq = option.find('=');
-    if (eq == std::string::npos)
-        fatal("malformed option '%s' (expected name=value)", option.c_str());
-    std::string name = option.substr(0, eq);
-    std::string value = option.substr(eq + 1);
-
-    auto as_u64 = [&]() -> U64 { return std::strtoull(value.c_str(), nullptr, 0); };
-    auto as_int = [&]() -> int { return (int)std::strtol(value.c_str(), nullptr, 0); };
-    auto as_bool = [&]() -> bool {
-        if (value == "1" || value == "true" || value == "on") return true;
-        if (value == "0" || value == "false" || value == "off") return false;
-        fatal("option %s: bad boolean '%s'", name.c_str(), value.c_str());
-    };
-
-    const std::map<std::string, std::function<void()>> setters = {
-        {"core_freq_hz", [&] { core_freq_hz = as_u64(); }},
-        {"vcpu_count", [&] { vcpu_count = as_int(); }},
-        {"snapshot_interval", [&] { snapshot_interval = as_u64(); }},
-        {"timer_hz", [&] { timer_hz = as_u64(); }},
-        {"guest_mem_bytes", [&] { guest_mem_bytes = as_u64(); }},
-        {"seed", [&] { seed = as_u64(); }},
-        {"shuffle_mfns", [&] { shuffle_mfns = as_bool(); }},
-        {"core", [&] { core = value; }},
-        {"smt_threads", [&] { smt_threads = as_int(); }},
-        {"fetch_width", [&] { fetch_width = as_int(); }},
-        {"frontend_width", [&] { frontend_width = as_int(); }},
-        {"issue_width_per_cluster", [&] { issue_width_per_cluster = as_int(); }},
-        {"commit_width", [&] { commit_width = as_int(); }},
-        {"fetch_queue_size", [&] { fetch_queue_size = as_int(); }},
-        {"rob_size", [&] { rob_size = as_int(); }},
-        {"ldq_size", [&] { ldq_size = as_int(); }},
-        {"stq_size", [&] { stq_size = as_int(); }},
-        {"int_prf_size", [&] { int_prf_size = as_int(); }},
-        {"fp_prf_size", [&] { fp_prf_size = as_int(); }},
-        {"int_iq_count", [&] { int_iq_count = as_int(); }},
-        {"int_iq_size", [&] { int_iq_size = as_int(); }},
-        {"fp_iq_size", [&] { fp_iq_size = as_int(); }},
-        {"fp_cluster_delay", [&] { fp_cluster_delay = as_int(); }},
-        {"frontend_stages", [&] { frontend_stages = as_int(); }},
-        {"mispredict_penalty", [&] { mispredict_penalty = as_int(); }},
-        {"load_hoisting", [&] { load_hoisting = as_bool(); }},
-        {"enforce_banking", [&] { enforce_banking = as_bool(); }},
-        {"skip_ahead", [&] { skip_ahead = as_bool(); }},
-        {"lat_alu", [&] { lat_alu = as_int(); }},
-        {"lat_mul", [&] { lat_mul = as_int(); }},
-        {"lat_div", [&] { lat_div = as_int(); }},
-        {"lat_fp", [&] { lat_fp = as_int(); }},
-        {"lat_ld", [&] { lat_ld = as_int(); }},
-        {"l1i_size", [&] { l1i.size_bytes = as_u64(); }},
-        {"l1i_ways", [&] { l1i.ways = as_int(); }},
-        {"l1i_repl", [&] { l1i.repl = parseRepl(value); }},
-        {"l1d_size", [&] { l1d.size_bytes = as_u64(); }},
-        {"l1d_ways", [&] { l1d.ways = as_int(); }},
-        {"l1d_latency", [&] { l1d.latency = as_int(); }},
-        {"l1d_banks", [&] { l1d.banks = as_int(); }},
-        {"l1d_repl", [&] { l1d.repl = parseRepl(value); }},
-        {"l2_size", [&] { l2.size_bytes = as_u64(); }},
-        {"l2_ways", [&] { l2.ways = as_int(); }},
-        {"l2_latency", [&] { l2.latency = as_int(); }},
-        {"l2_repl", [&] { l2.repl = parseRepl(value); }},
-        {"l3_size", [&] { l3.size_bytes = as_u64(); }},
-        {"l3_ways", [&] { l3.ways = as_int(); }},
-        {"l3_latency", [&] { l3.latency = as_int(); }},
-        {"l3_repl", [&] { l3.repl = parseRepl(value); }},
-        {"mem_latency", [&] { mem_latency = as_int(); }},
-        {"mem_backend", [&] { membackend.kind = parseBackend(value); }},
-        {"dram_banks", [&] { membackend.dram_banks = as_int(); }},
-        {"dram_row_bytes", [&] { membackend.row_bytes = as_int(); }},
-        {"dram_t_cas", [&] { membackend.t_cas = as_int(); }},
-        {"dram_t_rcd", [&] { membackend.t_rcd = as_int(); }},
-        {"dram_t_rp", [&] { membackend.t_rp = as_int(); }},
-        {"edram_size", [&] { membackend.edram_size_bytes = as_u64(); }},
-        {"edram_ways", [&] { membackend.edram_ways = as_int(); }},
-        {"edram_line_bytes", [&] { membackend.edram_line_bytes = as_int(); }},
-        {"edram_latency", [&] { membackend.edram_latency = as_int(); }},
-        {"pcm_read_latency", [&] { membackend.pcm_read_latency = as_int(); }},
-        {"pcm_write_latency", [&] { membackend.pcm_write_latency = as_int(); }},
-        {"deferred_writes", [&] { membackend.deferred_writes = as_int(); }},
-        {"dtlb_entries", [&] { dtlb_entries = as_int(); }},
-        {"itlb_entries", [&] { itlb_entries = as_int(); }},
-        {"tlb2_entries", [&] { tlb2_entries = as_int(); }},
-        {"tlb2_ways", [&] { tlb2_ways = as_int(); }},
-        {"pde_cache", [&] { pde_cache = as_bool(); }},
-        {"hw_prefetch", [&] { hw_prefetch = as_bool(); }},
-        {"coherence", [&] { coherence = parseCoherence(value); }},
-        {"interconnect_latency", [&] { interconnect_latency = as_int(); }},
-        {"predictor", [&] { predictor = parsePredictor(value); }},
-        {"gshare_entries", [&] { gshare_entries = as_int(); }},
-        {"gshare_history", [&] { gshare_history = as_int(); }},
-        {"bimodal_entries", [&] { bimodal_entries = as_int(); }},
-        {"meta_entries", [&] { meta_entries = as_int(); }},
-        {"btb_entries", [&] { btb_entries = as_int(); }},
-        {"btb_ways", [&] { btb_ways = as_int(); }},
-        {"ras_entries", [&] { ras_entries = as_int(); }},
-        {"smt_policy", [&] { smt_policy = parseSmtPolicy(value); }},
-        {"smt_deadlock_timeout", [&] { smt_deadlock_timeout = as_int(); }},
-        {"native_ipc_x1000", [&] { native_ipc_x1000 = as_u64(); }},
-        {"commit_checker", [&] { commit_checker = as_bool(); }},
-        {"verify", [&] { verify = as_bool(); }},
-        {"verify_interval", [&] { verify_interval = as_int(); }},
-        {"net_latency_us", [&] { net_latency_us = as_int(); }},
-        {"disk_latency_us", [&] { disk_latency_us = as_int(); }},
-        {"mask_external_interrupts", [&] { mask_external_interrupts = as_bool(); }},
-    };
-
-    auto it = setters.find(name);
-    if (it == setters.end())
-        fatal("unknown config option '%s'", name.c_str());
-    it->second();
+    bool neg = std::is_signed_v<T> && v[0] == '-';
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long mag = std::strtoull(v.c_str() + neg, &end, 0);
+    if (!std::isdigit((unsigned char)v[neg]) || *end != '\0')
+        fatal("config JSON: key '%s': '%s' is not %s", key, v.c_str(),
+              std::is_signed_v<T> ? "an integer" : "an unsigned integer");
+    if (errno == ERANGE || mag > (U64)std::numeric_limits<T>::max() + neg)
+        fatal("config JSON: key '%s': %s is out of range", key, v.c_str());
+    *dst = (T)(neg ? 0 - mag : mag);
 }
 
 void
-SimConfig::applyOptions(const std::string &options)
+parseValue(const char *key, const std::string &v, bool *dst)
 {
-    std::istringstream in(options);
-    std::string tok;
-    while (in >> tok)
-        applyOption(tok);
+    if (v == "1" || v == "true" || v == "on")
+        *dst = true;
+    else if (v == "0" || v == "false" || v == "off")
+        *dst = false;
+    else
+        fatal("config JSON: key '%s': bad boolean '%s'", key, v.c_str());
 }
 
-namespace {
+void
+parseValue(const char *, const std::string &v, std::string *dst)
+{
+    *dst = v;
+}
+
+template <typename E>
+    requires std::is_enum_v<E>
+void
+parseValue(const char *key, const std::string &v, E *dst)
+{
+    Names n = names(dst);
+    auto it = std::ranges::find(n, v);
+    if (it == n.end())
+        fatal("config JSON: key '%s': unknown value '%s'", key, v.c_str());
+    *dst = (E)(it - n.begin());
+}
+
+// ---- field -> value text (what parseValue reads back) ----
+
+std::string formatValue(bool *p) { return *p ? "true" : "false"; }
+std::string formatValue(std::string *p) { return *p; }
+
+template <std::integral T>
+std::string
+formatValue(T *p)
+{
+    return std::to_string(*p);
+}
+
+template <typename E>
+    requires std::is_enum_v<E>
+std::string
+formatValue(E *p)
+{
+    return names(p)[(size_t)*p];
+}
+
+/** One (path, value) pair from a config document. */
+using Pair = std::pair<std::string, std::string>;
 
 /**
- * Minimal JSON reader for the `memory` experiment block: one object,
+ * Minimal JSON reader for config documents: one object,
  * string/number/bool scalars, at most one level of nested objects.
  * Emits (path, value) pairs with nested keys joined as "group.key".
  * No external dependency — the toolchain image carries no JSON
  * library and the schema is deliberately tiny.
  */
-class MemoryJsonReader
+class JsonReader
 {
   public:
-    explicit MemoryJsonReader(const std::string &text) : s(text) {}
+    explicit JsonReader(const std::string &text) : s(text) {}
 
-    std::vector<std::pair<std::string, std::string>>
+    std::vector<Pair>
     parse()
     {
-        std::vector<std::pair<std::string, std::string>> out;
+        std::vector<Pair> out;
         skipWs();
         expect('{');
         parseObject("", out, /*depth=*/0);
         skipWs();
         if (pos != s.size())
-            fatal("memory JSON: trailing garbage at offset %zu", pos);
+            fatal("config JSON: trailing garbage at offset %zu", pos);
         return out;
     }
 
@@ -314,7 +324,7 @@ class MemoryJsonReader
     expect(char c)
     {
         if (pos >= s.size() || s[pos] != c)
-            fatal("memory JSON: expected '%c' at offset %zu", c, pos);
+            fatal("config JSON: expected '%c' at offset %zu", c, pos);
         pos++;
     }
 
@@ -325,7 +335,7 @@ class MemoryJsonReader
         std::string out;
         while (pos < s.size() && s[pos] != '"') {
             if (s[pos] == '\\')
-                fatal("memory JSON: escapes are not supported");
+                fatal("config JSON: escapes are not supported");
             out += s[pos++];
         }
         expect('"');
@@ -343,13 +353,13 @@ class MemoryJsonReader
                                   || s[pos] == '.' || s[pos] == '_'))
             pos++;
         if (pos == start)
-            fatal("memory JSON: expected a value at offset %zu", pos);
+            fatal("config JSON: expected a value at offset %zu", pos);
         return s.substr(start, pos - start);
     }
 
     void
     parseObject(const std::string &prefix,
-                std::vector<std::pair<std::string, std::string>> &out,
+                std::vector<Pair> &out,
                 int depth)
     {
         skipWs();
@@ -363,10 +373,13 @@ class MemoryJsonReader
             skipWs();
             expect(':');
             skipWs();
+            // A dotted key would be a second spelling of a nested one.
             std::string path = prefix.empty() ? key : prefix + "." + key;
+            if (key.find('.') != std::string::npos)
+                fatal("config JSON: unknown key '%s'", path.c_str());
             if (pos < s.size() && s[pos] == '{') {
                 if (depth >= 1)
-                    fatal("memory JSON: object nesting too deep at '%s'",
+                    fatal("config JSON: object nesting too deep at '%s'",
                           path.c_str());
                 pos++;
                 parseObject(path, out, depth + 1);
@@ -387,57 +400,52 @@ class MemoryJsonReader
     size_t pos = 0;
 };
 
-/** Map a "group.key" JSON path onto a flat applyOption() name. */
-std::string
-memoryJsonOption(const std::string &path)
-{
-    if (path == "backend")
-        return "mem_backend";
-    if (path == "mem_latency")
-        return "mem_latency";
-    auto dot = path.find('.');
-    if (dot == std::string::npos)
-        fatal("memory JSON: unknown key '%s'", path.c_str());
-    std::string group = path.substr(0, dot);
-    std::string key = path.substr(dot + 1);
-    if (group == "l1i" || group == "l1d" || group == "l2" || group == "l3")
-        return group + "_" + key;
-    if (group == "dram")
-        return "dram_" + key;
-    if (group == "edram")
-        return "edram_" + key;
-    if (group == "pcm") {
-        if (key == "deferred_writes")
-            return "deferred_writes";
-        return "pcm_" + key;
-    }
-    fatal("memory JSON: unknown key '%s'", path.c_str());
-}
-
 }  // namespace
 
 void
-SimConfig::applyMemoryJson(const std::string &json)
+SimConfig::applyJson(const std::string &json)
 {
-    MemoryJsonReader reader(json);
-    auto pairs = reader.parse();
-    bool versioned = false;
+    auto pairs = JsonReader(json).parse();
+    auto version = std::ranges::find(pairs, "version", &Pair::first);
+    if (version == pairs.end())
+        fatal("config JSON: missing required \"version\" key");
+    if (version->second != "1")
+        fatal("config JSON: unsupported version '%s' "
+              "(this build reads version 1)", version->second.c_str());
     for (const auto &[path, value] : pairs) {
-        if (path == "version") {
-            if (value != "1")
-                fatal("memory JSON: unsupported version '%s' "
-                      "(this build reads version 1)", value.c_str());
-            versioned = true;
+        if (path == "version")
             continue;
-        }
-        // Normalize eDRAM size alias: "size" reads naturally in JSON.
-        std::string opt = memoryJsonOption(path);
-        if (opt == "edram_size_bytes")
-            opt = "edram_size";
-        applyOption(opt + "=" + value);
+        const Field *f = std::ranges::find(kFields, path, &Field::key);
+        if (f == std::end(kFields))
+            fatal("config JSON: unknown key '%s'", path.c_str());
+        std::visit([&](auto *dst) { parseValue(f->key, value, dst); },
+                   f->ref(*this));
     }
-    if (!versioned)
-        fatal("memory JSON: missing required \"version\" key");
+}
+
+std::string
+SimConfig::toJson() const
+{
+    SimConfig c = *this;  // the row accessors take a mutable config
+    std::string out = "{\n  \"version\": \"1\"";
+    std::string open;  // the group whose object is open ("" = none)
+    for (const Field &f : kFields) {
+        std::string key = f.key;
+        size_t dot = key.find('.');
+        std::string group = dot == std::string::npos ? "" : key.substr(0, dot);
+        if (group != open && !open.empty())
+            out += "\n  }";
+        if (group != open && !group.empty())
+            out += ",\n  \"" + group + "\": {\n    ";
+        else
+            out += group.empty() ? ",\n  " : ",\n    ";
+        open = group;
+        std::string value =
+            std::visit([](auto *p) { return formatValue(p); }, f.ref(c));
+        std::string name = group.empty() ? key : key.substr(dot + 1);
+        out += "\"" + name + "\": \"" + value + "\"";
+    }
+    return out + (open.empty() ? "" : "\n  }") + "\n}\n";
 }
 
 void
@@ -464,8 +472,6 @@ SimConfig::validate() const
     if (!isPow2((U64)btb_entries) || !isPow2((U64)gshare_entries)
         || !isPow2((U64)bimodal_entries) || !isPow2((U64)meta_entries))
         fatal("predictor table sizes must be powers of two");
-    if (membackend.version != 1)
-        fatal("membackend version %d unsupported", membackend.version);
     if (membackend.dram_banks < 1 || !isPow2((U64)membackend.dram_banks))
         fatal("dram_banks %d must be a power of two",
               membackend.dram_banks);

@@ -5,8 +5,9 @@
  * All tunable parameters of every core model, the cache hierarchy, the
  * branch predictors and the full-system substrate live in SimConfig.
  * Named presets ("default", "k8") mirror the paper's configurations;
- * individual fields can then be overridden via "name=value" option
- * strings, echoing PTLsim's command-list style configuration.
+ * any field can then be overridden from one versioned JSON document
+ * (SimConfig::applyJson), so a whole run regenerates from one file, as
+ * PTLsim's command list does.
  */
 
 #ifndef PTLSIM_LIB_CONFIG_H_
@@ -49,9 +50,8 @@ struct CacheParams
 };
 
 /**
- * Main-memory backend parameters (the versioned `memory` config
- * block). `version` gates the JSON schema: applyMemoryJson() rejects
- * blocks written for a different layout instead of misreading them.
+ * Main-memory backend parameters (the `backend`, `dram`, `edram` and
+ * `pcm` keys of the config JSON).
  *
  * The banked-DRAM defaults are chosen so a row-buffer CONFLICT costs
  * t_rp + t_rcd + t_cas = 112 cycles — exactly the flat mem_latency of
@@ -59,7 +59,6 @@ struct CacheParams
  */
 struct MemBackendParams
 {
-    int version = 1;
     MemBackendKind kind = MemBackendKind::Fixed;
 
     // -- banked DRAM timing (also the hybrid model's bank substrate) --
@@ -170,27 +169,26 @@ struct SimConfig
     static SimConfig preset(const std::string &name);
 
     /**
-     * Apply one "name=value" override (e.g. "rob_size=72",
-     * "predictor=gshare"). Unknown names are fatal().
-     */
-    void applyOption(const std::string &option);
-
-    /** Apply a whitespace-separated option list. */
-    void applyOptions(const std::string &options);
-
-    /**
-     * Apply a versioned `memory` JSON block (the experiment-file
-     * reproducibility path). Accepts a flat object of scalars and
-     * one level of nesting; nested keys map to "group_key" option
-     * names, e.g.
+     * Apply a version-1 config JSON document: one object whose keys
+     * are the field names, plus the memory groups nested one level,
+     * e.g.
      *
-     *   {"version": 1, "backend": "banked",
-     *    "dram": {"banks": 8, "t_cas": 40},
-     *    "l1d": {"repl": "tree-plru"}}
+     *   {"version": "1", "rob_size": "64", "predictor": "gshare",
+     *    "backend": "banked", "dram": {"banks": "8", "t_cas": "40"},
+     *    "l1d": {"size": "32768", "repl": "tree-plru"}}
      *
-     * A missing or mismatched "version" is fatal().
+     * Keys absent from the document keep their current value. A
+     * missing or mismatched "version", an unknown key, or a value
+     * that does not parse whole for its field's type is fatal().
      */
-    void applyMemoryJson(const std::string &json);
+    void applyJson(const std::string &json);
+
+    /** Former name of applyJson(), kept for existing callers. */
+    void applyMemoryJson(const std::string &json) { applyJson(json); }
+
+    /** The whole config as a version-1 document that applyJson()
+     *  reads back to an equal config: every key, one per line. */
+    std::string toJson() const;
 
     /** Sanity-check derived quantities; fatal() on invalid geometry. */
     void validate() const;

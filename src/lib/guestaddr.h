@@ -61,11 +61,6 @@ constexpr unsigned PAGE_SHIFT = 12;
 constexpr U64 PAGE_SIZE = 1ULL << PAGE_SHIFT;
 constexpr U64 PAGE_MASK = PAGE_SIZE - 1;
 
-/** Raw-value page helpers (implementation plumbing; typed code uses
- *  the member forms below). */
-constexpr U64 pageOf(U64 addr) { return addr >> PAGE_SHIFT; }
-constexpr U64 pageOffset(U64 addr) { return addr & PAGE_MASK; }
-
 class GuestVirt;
 class GuestPhys;
 

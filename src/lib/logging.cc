@@ -1,20 +1,11 @@
 #include "lib/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace ptl {
 
 namespace {
-
-// The logging configuration is genuinely process-wide (every Domain
-// thread warns through the same sink), so it stays global — but as
-// lock-free atomics: a sink/quiet flip by one thread while another
-// emits must read either the old or the new value, never a torn one.
-std::atomic<void (*)(const std::string &)>
-    log_sink{nullptr};  // simlint: shared-guarded(atomic)
-std::atomic<bool> log_quiet{false};  // simlint: shared-guarded(atomic)
 
 std::string
 vstrprintf(const char *fmt, va_list ap)
@@ -29,19 +20,6 @@ vstrprintf(const char *fmt, va_list ap)
     return out;
 }
 
-void
-emit(const std::string &line)
-{
-    if (log_quiet.load(std::memory_order_relaxed))
-        return;
-    if (auto *sink = log_sink.load(std::memory_order_acquire)) {
-        sink(line);
-    } else {
-        std::fputs(line.c_str(), stderr);
-        std::fputc('\n', stderr);
-    }
-}
-
 }  // namespace
 
 std::string
@@ -52,18 +30,6 @@ strprintf(const char *fmt, ...)
     std::string s = vstrprintf(fmt, ap);
     va_end(ap);
     return s;
-}
-
-void
-setLogSink(void (*sink)(const std::string &))
-{
-    log_sink.store(sink, std::memory_order_release);
-}
-
-void
-setLogQuiet(bool quiet)
-{
-    log_quiet.store(quiet, std::memory_order_relaxed);
 }
 
 void
@@ -93,17 +59,9 @@ warnImpl(const char * /*file*/, int /*line*/, const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    emit("warn: " + vstrprintf(fmt, ap));
+    std::string msg = vstrprintf(fmt, ap);
     va_end(ap);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    emit(vstrprintf(fmt, ap));
-    va_end(ap);
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 }  // namespace ptl

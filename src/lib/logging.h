@@ -7,7 +7,6 @@
  * fatal()  - the simulation cannot continue due to a user-level problem
  *            (bad configuration, malformed guest image); exits with code 1.
  * warn()   - something is modeled approximately; simulation continues.
- * inform() - plain status output.
  */
 
 #ifndef PTLSIM_LIB_LOGGING_H_
@@ -30,21 +29,12 @@ std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 void warnImpl(const char *file, int line, const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
-void informImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Route all warn()/inform() output through this sink (default stderr). */
-void setLogSink(void (*sink)(const std::string &line));
-
-/** Silence warn()/inform() (tests use this to keep output clean). */
-void setLogQuiet(bool quiet);
 
 }  // namespace ptl
 
 #define panic(...)  ::ptl::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fatal(...)  ::ptl::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define warn(...)   ::ptl::warnImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define inform(...) ::ptl::informImpl(__VA_ARGS__)
 
 /**
  * Assert a simulator invariant; compiled in all build types.

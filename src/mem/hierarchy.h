@@ -89,9 +89,6 @@ class MemoryHierarchy
     /** CR3 reload: drop all TLB state (x86 has no ASIDs here). */
     void flushTlbs();
 
-    /** Flush one page's translations (invlpg; SMC handling). */
-    void flushTlbVpn(Vpn vpn);
-
     /** Flush all cache tags (the paper's -perfctr pre-run flush). */
     void flushCaches();
 

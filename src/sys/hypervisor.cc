@@ -160,7 +160,6 @@ Hypervisor::ptlcall(Context &ctx, U64 op, U64 arg1, U64 /*arg2*/)
         std::string cmd;
         for (size_t i = 0; i < g.copied && buf[i]; i++)
             cmd.push_back(buf[i]);
-        command_log.push_back(cmd);
         // Interpret the classic commands inline.
         if (cmd.find("-native") != std::string::npos)
             want_native = true;

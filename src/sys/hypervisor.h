@@ -65,7 +65,6 @@ class Hypervisor : public SystemInterface
         exit_code = 0;
     }
     const std::vector<PtlMarker> &markers() const { return marks; }
-    const std::vector<std::string> &commands() const { return command_log; }
 
     /** Hook invoked after a guest CR3 switch (cores flush TLBs). */
     void setCr3SwitchHook(std::function<void(Context &)> hook)
@@ -118,7 +117,6 @@ class Hypervisor : public SystemInterface
     bool want_native = false;
     bool want_snapshot = false;
     std::vector<PtlMarker> marks;
-    std::vector<std::string> command_log;
     std::function<void(Context &)> cr3_hook;
     std::function<void(Pfn)> code_hook;
     std::function<void()> attention_hook;

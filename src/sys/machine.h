@@ -80,8 +80,6 @@ class Machine
      */
     void finalizeCores();
 
-    /** The memory hierarchy assembled for core i (finalizeCores). */
-    MemoryHierarchy &coreHierarchy(int i) { return *core_set.hierarchies[i]; }
     int coreCount() const { return (int)core_set.cores.size(); }
 
     enum class Mode { Simulation, Native };

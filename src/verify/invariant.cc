@@ -324,6 +324,27 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
         }
     }
 
+    // ---- interlocks: every lock this core's threads own is held by a
+    //      live LSQ entry (else nothing ever releases it) ----
+    for (const auto &[paddr, owner] : core.interlocks->heldLocks()) {
+        if (owner / 16 != core.core_id)
+            continue;
+        size_t ti = (size_t)(owner % 16);
+        bool held = false;
+        if (ti < core.threads.size()) {
+            const OooCore::Thread &t = core.threads[ti];
+            for (const std::vector<OooCore::LsqEntry> *lsq : {&t.ldq, &t.stq})
+                for (const OooCore::LsqEntry &l : *lsq)
+                    held |= l.valid && l.lock_acquired
+                            && (l.paddr.raw() >> 3) == (paddr >> 3);
+        }
+        if (!held)
+            VERIFY_VIOLATION(vstats.lsq_state,
+                             "[cycle %llu] verify: orphaned interlock "
+                             "paddr=%llx owner=%d (no LSQ entry holds "
+                             "it)", cyc, (unsigned long long)paddr, owner);
+    }
+
     // ------------------------------------------------------------------
     // Issue queues vs. the ROB scoreboard.
     // ------------------------------------------------------------------
@@ -337,14 +358,11 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
     for (size_t qi = 0; qi < core.queues.size(); qi++) {
         const OooCore::IssueQueue &iq = core.queues[qi];
         int valid = 0;
-        int waiting = 0;
         for (size_t si = 0; si < iq.slots.size(); si++) {
             const OooCore::IqEntry &slot = iq.slots[si];
             if (!slot.valid)
                 continue;
             valid++;
-            if (slot.ready_mask != OooCore::IQ_ALL_READY)
-                waiting++;
             if (slot.thread < 0
                 || (size_t)slot.thread >= core.threads.size()) {
                 VERIFY_VIOLATION(vstats.iq_state,
@@ -458,12 +476,6 @@ InvariantChecker::checkCore(const OooCore &core, SimCycle now)
                              "[cycle %llu] verify: iq[%zu] has %d valid "
                              "slots but the occupancy counter says %d",
                              cyc, qi, valid, iq.used);
-        if (waiting != iq.waiting)
-            VERIFY_VIOLATION(vstats.iq_state,
-                             "[cycle %llu] verify: iq[%zu] has %d "
-                             "operand-waiting slots but the broadcast "
-                             "skip counter says %d",
-                             cyc, qi, waiting, iq.waiting);
     }
     for (size_t ti = 0; ti < core.threads.size(); ti++) {
         const OooCore::Thread &t = core.threads[ti];
@@ -653,6 +665,15 @@ VerifyTestHook::skewShadowReg(OooCore &core, int thread, int reg)
         return false;
     t.shadow_ctx->regs[reg] ^= 0x1;
     return true;
+}
+
+bool
+VerifyTestHook::plantOrphanInterlock(OooCore &core)
+{
+    // A line no guest access touches, locked by thread 0 of this core
+    // behind the LSQ's back.
+    return core.interlocks->acquire(GuestPhys(0xfff000),
+                                    core.ownerId(core.threads[0]));
 }
 
 int

@@ -62,7 +62,7 @@ struct VerifyStats
     Counter &rob_order;       ///< ROB age-ordering breaks
     Counter &rob_count;       ///< ROB occupancy / cursor mismatches
     Counter &checkpoint;      ///< RAT-checkpoint bookkeeping breaks
-    Counter &lsq_state;       ///< LSQ back-reference / occupancy breaks
+    Counter &lsq_state;       ///< LSQ back-ref / occupancy / orphan interlock
     Counter &lsq_age;         ///< LSQ age-ordering breaks vs. the ROB
     Counter &prf_leak;        ///< allocated-but-unreachable registers
     Counter &prf_double_free; ///< free-list duplicates / freed-but-live
@@ -136,6 +136,8 @@ struct VerifyTestHook
     static bool corruptPrfLeak(OooCore &core);
     static bool corruptPrfDoubleFree(OooCore &core);
     static bool corruptIqReady(OooCore &core);
+    /** Take an interlock for thread 0 that no LSQ entry holds. */
+    static bool plantOrphanInterlock(OooCore &core);
     /** Flip one bit in the lockstep checker's shadow architectural
      *  register, so the next commit diverges from the reference. */
     static bool skewShadowReg(OooCore &core, int thread, int reg);

@@ -425,7 +425,7 @@ TEST(EventMachine, CheckpointRoundTripMidStallOnOooCore)
 TEST(EventMachine, CheckpointRoundTripMidStallOnBankedDram)
 {
     SimConfig cfg = testConfig("ooo");
-    cfg.applyMemoryJson(R"({"version": "1", "backend": "banked"})");
+    cfg.applyJson(R"({"version": "1", "backend": "banked"})");
     auto bm = std::make_unique<BootedMachine>(
         cfg, [](Assembler &a, GuestLib &lib) {
             a.movImm64(R::rbx, USER_DATA_VA);

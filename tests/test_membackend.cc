@@ -298,7 +298,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendDeterminism,
 TEST(MemoryConfig, JsonSelectsBackendAndPolicies)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "banked",
         "dram": {"banks": "16", "t_cas": "20"},
@@ -322,7 +322,7 @@ TEST(MemoryConfig, JsonSelectsBackendAndPolicies)
 TEST(MemoryConfig, JsonSelectsHybrid)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "hybrid",
         "edram": {"size": "2097152", "latency": "12"},
@@ -352,7 +352,7 @@ TEST(MemoryConfigErrors, UnknownTopLevelKeyIsRejected)
 {
     SimConfig cfg = SimConfig::preset("k8");
     EXPECT_DEATH(
-        cfg.applyMemoryJson(R"({"version": "1", "frobnicate": "3"})"),
+        cfg.applyJson(R"({"version": "1", "frobnicate": "3"})"),
         "unknown key 'frobnicate'");
 }
 
@@ -360,7 +360,7 @@ TEST(MemoryConfigErrors, UnknownGroupKeyIsRejected)
 {
     SimConfig cfg = SimConfig::preset("k8");
     EXPECT_DEATH(
-        cfg.applyMemoryJson(
+        cfg.applyJson(
             R"({"version": "1", "dram2": {"banks": "4"}})"),
         "unknown key 'dram2.banks'");
 }
@@ -368,21 +368,21 @@ TEST(MemoryConfigErrors, UnknownGroupKeyIsRejected)
 TEST(MemoryConfigErrors, UnsupportedVersionIsRejected)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    EXPECT_DEATH(cfg.applyMemoryJson(R"({"version": "2"})"),
+    EXPECT_DEATH(cfg.applyJson(R"({"version": "2"})"),
                  "unsupported version '2'");
 }
 
 TEST(MemoryConfigErrors, MissingVersionIsRejected)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    EXPECT_DEATH(cfg.applyMemoryJson(R"({"backend": "fixed"})"),
+    EXPECT_DEATH(cfg.applyJson(R"({"backend": "fixed"})"),
                  "missing required \"version\" key");
 }
 
 TEST(MemoryConfigErrors, NonPowerOfTwoDramBanksFailValidate)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "banked",
         "dram": {"banks": "12"}
@@ -393,7 +393,7 @@ TEST(MemoryConfigErrors, NonPowerOfTwoDramBanksFailValidate)
 TEST(MemoryConfigErrors, ZeroCasLatencyFailsValidate)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "banked",
         "dram": {"t_cas": "0"}
@@ -404,7 +404,7 @@ TEST(MemoryConfigErrors, ZeroCasLatencyFailsValidate)
 TEST(MemoryConfigErrors, TinyRowBytesFailValidate)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "banked",
         "dram": {"row_bytes": "16"}
@@ -415,7 +415,7 @@ TEST(MemoryConfigErrors, TinyRowBytesFailValidate)
 TEST(MemoryConfigErrors, ZeroPcmLatencyFailsValidate)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "hybrid",
         "pcm": {"read_latency": "0"}
@@ -426,7 +426,7 @@ TEST(MemoryConfigErrors, ZeroPcmLatencyFailsValidate)
 TEST(MemoryConfigErrors, ZeroDeferredWritesFailsValidate)
 {
     SimConfig cfg = SimConfig::preset("k8");
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "hybrid",
         "pcm": {"deferred_writes": "0"}
@@ -439,7 +439,7 @@ TEST(MemoryConfigErrors, BadEdramGeometryFailsValidate)
     SimConfig cfg = SimConfig::preset("k8");
     // 3000 bytes is not ways * line_bytes * pow2 sets — the forced
     // geometry check must reject it.
-    cfg.applyMemoryJson(R"({
+    cfg.applyJson(R"({
         "version": "1",
         "backend": "hybrid",
         "edram": {"size": "3000"}

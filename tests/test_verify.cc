@@ -182,6 +182,19 @@ TEST(VerifyTest, DetectsIssueQueueScoreboardBreak)
     EXPECT_GT(chk.counters().iq_state.value(), 0u);
 }
 
+TEST(VerifyTest, DetectsOrphanInterlock)
+{
+    BareMachine rig(verifyConfig());
+    startChurn(rig);
+    ASSERT_TRUE(corruptMidFlight(rig, [](OooCore &c) {
+        return VerifyTestHook::plantOrphanInterlock(c);
+    }));
+    InvariantChecker chk(rig.stats(), "verify/",
+                         InvariantChecker::Action::Count);
+    EXPECT_GT(audit(rig, chk), 0);
+    EXPECT_GT(chk.counters().lsq_state.value(), 0u);
+}
+
 TEST(VerifyTest, DetectsIllegalMesiDirectoryState)
 {
     StatsTree stats;
