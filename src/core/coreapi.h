@@ -104,11 +104,11 @@ class CoreModel
 
     /**
      * Earliest cycle at which this core needs to run again if no new
-     * external event arrives (the machine's idle fast-forward hint).
-     * The default is conservative: an idle core never wakes on its
-     * own, and a core with any runnable thread needs the very next
-     * cycle. Models with autonomous in-flight work (e.g. a draining
-     * writeback queue) override this to report its completion cycle.
+     * external event arrives: CYCLE_NEVER when idle, else the very
+     * next cycle. Nothing in the simulator consults it (skip-ahead
+     * lives inside OooCore::cycle(), and the machine's idle
+     * fast-forward only runs once every VCPU is blocked); it stays
+     * because perfbench/tracing.cpp's timing wrapper forwards it.
      */
     virtual SimCycle
     sleepUntil(SimCycle now) const

@@ -49,18 +49,8 @@ OooCore::stageIssue(SimCycle now)
     bool mul_used = false, div_used = false;
 
     for (IssueQueue &iq : queues) {
-        if (iq.used == 0) {
-            iq.next_wake = CYCLE_NEVER;
+        if (iq.used == 0)
             continue;
-        }
-        // Queue-level skip: next_wake lower-bounds the earliest cycle
-        // any entry here can issue (broadcasts and inserts lower it),
-        // so while it lies in the future the whole scan is provably a
-        // no-op.
-        if (iq.next_wake > now) {
-            st_select_fast_skips++;
-            continue;
-        }
         int issued = 0;
         while (issued < cfg.issue_width_per_cluster) {
             // Oldest-first (collapsing queue) selection over entries
@@ -99,23 +89,6 @@ OooCore::stageIssue(SimCycle now)
             issued++;  // the port is consumed even by a replayed op
             (void)ok;
         }
-        // Recompute the skip bound from the surviving candidates. An
-        // entry still issuable right now (width- or hazard-limited this
-        // cycle) clamps to now+1; partially-ready entries contribute
-        // nothing — the broadcast that completes their mask lowers
-        // next_wake at that moment.
-        SimCycle next = CYCLE_NEVER;
-        for (const IqEntry &slot : iq.slots) {
-            if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
-                continue;
-            const RobEntry &e = threads[slot.thread].rob[slot.rob];
-            SimCycle at = std::max(slot.wake_cycle, e.retry_cycle);
-            if (at <= now)
-                at = now + cycles(1);
-            if (at < next)
-                next = at;
-        }
-        iq.next_wake = next;
     }
 }
 

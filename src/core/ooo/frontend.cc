@@ -338,14 +338,6 @@ OooCore::renameOne(SimCycle now, Thread &t, int tid)
                     }
                 }
                 slot.ready_mask = mask;
-                // A fully-ready insert can issue next cycle at the
-                // earliest (select already ran this cycle).
-                if (mask == IQ_ALL_READY) {
-                    SimCycle at =
-                        std::max(slot.wake_cycle, now + cycles(1));
-                    if (at < iq.next_wake)
-                        iq.next_wake = at;
-                }
                 iq.used++;
                 if (qidx != fp_queue_index)
                     t.int_iq_inflight++;

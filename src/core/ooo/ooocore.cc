@@ -48,9 +48,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
       st_skipped_cycles(
           stats->counter(params.prefix + "ooocore/skipped_cycles")),
       st_wakeup_broadcasts(
-          stats->counter(params.prefix + "ooocore/wakeup_broadcasts")),
-      st_select_fast_skips(
-          stats->counter(params.prefix + "ooocore/select_fast_skips"))
+          stats->counter(params.prefix + "ooocore/wakeup_broadcasts"))
 {
     core_id = params.core_id;
     trace_commits = std::getenv("PTLSIM_TRACE") != nullptr;
@@ -235,8 +233,6 @@ OooCore::broadcastReady(int phys)
         SimCycle eff = effectiveReadyCycle(reg, iq.cluster);
         if (eff > slot.wake_cycle)
             slot.wake_cycle = eff;
-        if (slot.ready_mask == IQ_ALL_READY && slot.wake_cycle < iq.next_wake)
-            iq.next_wake = slot.wake_cycle;
     }
     w.n = 0;
 }
@@ -262,12 +258,6 @@ OooCore::broadcastScan(int phys)
             slot.ready_mask = mask;
             if (eff > slot.wake_cycle)
                 slot.wake_cycle = eff;
-            // Last operand arrived: the entry is now a select
-            // candidate, so the queue's skip stamp must cover it.
-            // (retry_cycle is still zero here — replays require a
-            // prior issue attempt, which requires a full mask.)
-            if (mask == IQ_ALL_READY && slot.wake_cycle < iq.next_wake)
-                iq.next_wake = slot.wake_cycle;
         }
     }
 }
@@ -440,12 +430,10 @@ OooCore::resetTimebase(SimCycle now)
         t.last_commit_cycle = now;
         t.commit_wake = CYCLE_NEVER;
     }
-    // Skip-ahead bookkeeping also holds absolute stamps: a stale
-    // idle_until or queue wake bound from before the warp would point
-    // at cycles that now lie in the far future and park the core.
+    // Skip-ahead bookkeeping also holds an absolute stamp: a stale
+    // idle_until from before the warp would point at cycles that now
+    // lie in the far future and park the core.
     idle_until = SimCycle(0);
-    for (IssueQueue &iq : queues)
-        iq.next_wake = SimCycle(0);
     for (PhysWaiters &w : waiters) {
         w.n = 0;
         w.overflow = false;
@@ -502,8 +490,8 @@ OooCore::cycle(SimCycle now)
     // can change before idle_until, so only the externally-driven wake
     // conditions need checking — a VCPU running-flag flip or an event
     // becoming deliverable. Everything else (wakeups, replays, fetch
-    // stalls, the commit watchdog, the audit cadence) is already
-    // folded into idle_until by sleepCore().
+    // stalls, the commit watchdog) is already folded into idle_until
+    // by sleepCore().
     if (now < idle_until) {
         bool wake = false;
         for (Thread &t : threads) {
@@ -579,10 +567,10 @@ OooCore::cycle(SimCycle now)
  * the earliest future cycle at which any structure could change and
  * arm idle_until. Soundness argument, per source:
  *
- *  - Issue: every select candidate (full ready mask) is bounded by its
- *    queue's next_wake; entries still waiting on operands are woken by
- *    a broadcast, and the producing entry's own issue is itself
- *    bounded (transitively grounding every dependence chain).
+ *  - Issue: every select candidate (full ready mask) is bounded by
+ *    max(wake_cycle, retry_cycle); entries still waiting on operands
+ *    are woken by a broadcast, and the producing entry's own issue is
+ *    itself bounded (transitively grounding every dependence chain).
  *  - Commit: commitThread records why its last attempt this cycle
  *    blocked (commit_wake); the remaining reasons (incomplete group,
  *    un-issued entry) resolve only via rename/issue events that are
@@ -592,7 +580,10 @@ OooCore::cycle(SimCycle now)
  *    faulted (waits on commit), or queue-full (waits on rename, which
  *    waits on front().ready_at or on resources freed by activity).
  *  - Watchdog: the rescue deadline for any thread with in-flight work.
- *  - Audit: never skip past the next verifier cadence point.
+ *
+ * The auditor needs no fold: nothing in the pipeline changes inside
+ * the window, so the audit of the cycle that armed it (if due) already
+ * covers every skipped cycle.
  */
 void
 OooCore::sleepCore(SimCycle now)
@@ -603,8 +594,15 @@ OooCore::sleepCore(SimCycle now)
             wake = c;
     };
     for (const IssueQueue &iq : queues) {
-        if (iq.used > 0)
-            fold(iq.next_wake);
+        if (iq.used == 0)
+            continue;
+        for (const IqEntry &slot : iq.slots) {
+            if (!slot.valid || slot.ready_mask != IQ_ALL_READY)
+                continue;
+            const RobEntry &e = threads[slot.thread].rob[slot.rob];
+            fold(std::max({slot.wake_cycle, e.retry_cycle,
+                           now + cycles(1)}));
+        }
     }
     for (Thread &t : threads) {
         t.slept_running = t.ctx->running;
@@ -621,12 +619,6 @@ OooCore::sleepCore(SimCycle now)
             fold(t.last_commit_cycle
                  + cycles((U64)cfg.smt_deadlock_timeout + 1));
     }
-#if PTL_VERIFY
-    if (verifier && cfg.verify_interval > 0) {
-        U64 iv = (U64)cfg.verify_interval;
-        fold(SimCycle((now.raw() / iv + 1) * iv));
-    }
-#endif
     // Memory backend deferred work (e.g. the hybrid model's
     // deferred-write queue): drain everything due by now, then never
     // skip past the next due stamp. After drainTo(now) the head's

@@ -69,30 +69,11 @@ class OooCore : public CoreModel
     std::string name() const override { return smt ? "smt" : "ooo"; }
     std::string debugState() const override;
 
-    /**
-     * Skip-ahead hint for the machine's idle fast-forward: when the
-     * whole pipeline is quiesced, the earliest cycle any state here
-     * can change; `now` while busy. cycle() honors the same stamp
-     * internally, so callers that tick every cycle (the benchmark
-     * loop, the machine's busy loop) get the fast path even without
-     * consulting the hint.
-     */
-    SimCycle
-    sleepUntil(SimCycle now) const override
-    {
-        if (allIdle())
-            return CYCLE_NEVER;
-        return (cfg.skip_ahead && idle_until > now) ? idle_until : now;
-    }
-
     /** Accept (or detach, with nullptr) the per-cycle auditor. */
     void
     attachAuditor(std::unique_ptr<CoreAuditor> auditor) override
     {
         verifier = std::move(auditor);
-        // The auditor cadence bounds how far cycle() may skip ahead;
-        // drop any sleep armed under the old cadence.
-        idle_until = SimCycle(0);
     }
 
     /**
@@ -205,15 +186,6 @@ class OooCore : public CoreModel
         std::vector<IqEntry> slots;
         int cluster = 0;
         int used = 0;
-        /**
-         * Lower bound on the earliest cycle any entry here can issue;
-         * select skips the whole queue while next_wake > now. Lowered
-         * by dispatch inserts and ready broadcasts, recomputed from
-         * scratch after every full select scan. Entry removal
-         * (issue/squash/flush) may leave it conservatively early,
-         * which only costs one extra scan — never a missed issue.
-         */
-        SimCycle next_wake;
     };
 
     /** All per-hardware-thread state (Section 2.2's SMT split). */
@@ -299,7 +271,7 @@ class OooCore : public CoreModel
     }
     /** Tag broadcast: `phys` just completed (its PhysReg ready bit and
      *  ready_cycle are final); set the matching ready-mask bits in
-     *  every waiting issue-queue slot and lower queue wake stamps.
+     *  every waiting issue-queue slot.
      *  Walks the per-physreg waiter list (exact consumers) instead of
      *  scanning every slot; falls back to broadcastScan on overflow. */
     void broadcastReady(int phys);
@@ -397,7 +369,7 @@ class OooCore : public CoreModel
      * (running-flag flips, deliverable events) — no pipeline state can
      * change until then, by construction of sleepCore(). Cleared by
      * everything that mutates core state from outside a cycle
-     * (flushPipeline, resetTimebase, attachAuditor).
+     * (flushPipeline, resetTimebase).
      */
     SimCycle idle_until;
     /** Did any stage make forward progress this cycle? Only a cycle
@@ -434,7 +406,6 @@ class OooCore : public CoreModel
     Counter &st_lockstep_skips;
     Counter &st_skipped_cycles;
     Counter &st_wakeup_broadcasts;
-    Counter &st_select_fast_skips;
 };
 
 }  // namespace ptl

@@ -78,31 +78,11 @@ BareMachine::tick()
 U64
 BareMachine::run(U64 max_cycles)
 {
-    return runUntilIdle(max_cycles, false);
-}
-
-U64
-BareMachine::runWithSleep(U64 max_cycles)
-{
-    return runUntilIdle(max_cycles, true);
-}
-
-U64
-BareMachine::runUntilIdle(U64 max_cycles, bool sleep)
-{
     ptl_assert(!core_set.cores.empty());
     const SimCycle start = clock;
     const SimCycle deadline = start + cycles(max_cycles);
-    while (clock < deadline && !allIdle()) {
+    while (clock < deadline && !allIdle())
         tick();
-        if (!sleep)
-            continue;
-        SimCycle wake = CYCLE_NEVER;
-        for (auto &core : core_set.cores)
-            wake = std::min(wake, core->sleepUntil(clock));
-        if (!wake.never() && wake > clock)
-            clock = std::min(wake, deadline);
-    }
     ptl_assert(allIdle());
     return (clock - start).raw();
 }

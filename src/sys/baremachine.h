@@ -82,13 +82,6 @@ class BareMachine : public SystemInterface
      */
     U64 run(U64 max_cycles = 3'000'000);
 
-    /**
-     * run(), but after each tick jump straight to the earliest
-     * CoreModel::sleepUntil() instead of ticking quiesced cycles one
-     * by one (the Machine busy loop's skip-ahead contract).
-     */
-    U64 runWithSleep(U64 max_cycles);
-
     void writeGuest(U64 va, const void *data, size_t n);
     U64 readGuest(U64 va, unsigned bytes);
     U64 reg(R r, int vcpu = 0) const { return contexts[vcpu]->regs[(int)r]; }
@@ -103,8 +96,6 @@ class BareMachine : public SystemInterface
     bool isCodeMfn(Pfn mfn) const override { return bbcache.isCodeMfn(mfn); }
 
   private:
-    U64 runUntilIdle(U64 max_cycles, bool sleep);
-
     SimConfig cfg;
     StatsTree stats_tree;
     PhysMem mem;

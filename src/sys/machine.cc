@@ -332,28 +332,18 @@ Machine::run(U64 max_cycles)
             break;
 
         if (allVcpusIdle()) {
-            SimCycle core_wake = CYCLE_NEVER;
-            for (auto &core : core_set.cores)
-                core_wake = std::min(core_wake, core->sleepUntil(now));
-            if (eventq.wakePendingCount() == 0
-                && core_wake == CYCLE_NEVER) {
+            if (eventq.wakePendingCount() == 0) {
                 // Nothing will ever wake the domain again.
                 result.stalled = true;
                 break;
             }
-            if (core_wake > now) {
-                // Fast-forward straight to the next scheduled event
-                // (the queue head already includes the snapshot
-                // cadence) or the earliest core-declared wake-up.
-                SimCycle target =
-                    std::min({eventq.nextDue(), core_wake, deadline});
-                target = std::max(target, now + cycles(1));
-                accountModeCycles(target - now);
-                time.advance(target - now);
-                continue;
-            }
-            // A core still has autonomous in-flight work: fall through
-            // and keep ticking cycle by cycle.
+            // Fast-forward straight to the next scheduled event (the
+            // queue head already includes the snapshot cadence).
+            SimCycle target = std::min(eventq.nextDue(), deadline);
+            target = std::max(target, now + cycles(1));
+            accountModeCycles(target - now);
+            time.advance(target - now);
+            continue;
         }
 
         if (run_mode == Mode::Native) {

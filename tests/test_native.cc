@@ -229,13 +229,22 @@ TEST(Native, CheckpointRestoreReproducesRun)
     EXPECT_TRUE(diff.equal) << diff.description;
 }
 
-TEST(Native, DeviceTraceRecordsDiskDma)
+SimConfig
+diskConfig()
 {
     SimConfig cfg = SimConfig::preset("k8");
     cfg.core = "seq";
     cfg.core_freq_hz = 10'000'000;
     cfg.guest_mem_bytes = 32 << 20;
-    Machine machine(cfg);
+    return cfg;
+}
+
+/** Boot the guest kernel with one task that reads two disk sectors
+ *  into USER_DATA_VA (blocking until the disk interrupt) and exits
+ *  with the first data word. Returns the task's CR3. */
+Pfn
+bootDiskReader(Machine &machine)
+{
     KernelBuilder builder(machine.addressSpace(), machine.vcpu(0),
                           machine.timerPeriodCycles());
     Assembler &ua = builder.userAsm();
@@ -249,17 +258,43 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     ua.mov(R::rsi, 2);
     ua.movImm64(R::rdx, USER_DATA_VA);
     lib.syscall(GSYS_disk_read);
-    ua.mov(R::rdi, 0);
+    ua.movImm64(R::rbx, USER_DATA_VA);
+    ua.mov(R::rdi, Mem::at(R::rbx));
     lib.syscall(GSYS_exit);
     builder.setInitTask(ua.labelVa(entry), 0);
     builder.build();
     machine.finalizeCores();
+    return builder.taskCr3(0);
+}
+
+U64
+readUserData(Machine &machine, Pfn cr3)
+{
+    Context probe;
+    probe.cr3 = cr3;
+    probe.kernel_mode = true;
+    U64 v = 0;
+    guestRead(machine.addressSpace(), probe, GuestVirt(USER_DATA_VA), 8, v);
+    return v;
+}
+
+/** Run the disk reader on a disk of 0x3C bytes, recording every
+ *  device completion into `trace`. */
+Machine::RunResult
+recordDiskRead(DeviceTrace &trace)
+{
+    Machine machine(diskConfig());
+    bootDiskReader(machine);
     std::vector<U8> image(16 * DISK_SECTOR_BYTES, 0x3C);
     machine.disk().setImage(image);
-
-    DeviceTrace trace;
     machine.recordDevices(&trace);
-    machine.run(100'000'000);
+    return machine.run(100'000'000);
+}
+
+TEST(Native, DeviceTraceRecordsDiskDma)
+{
+    DeviceTrace trace;
+    recordDiskRead(trace);
 
     // The DMA completion (payload + interrupt) was recorded.
     bool found = false;
@@ -272,7 +307,7 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     EXPECT_TRUE(found);
 
     // Replay injects the same DMA + event into a fresh domain image.
-    Machine replay_machine(cfg);
+    Machine replay_machine(diskConfig());
     KernelBuilder rb(replay_machine.addressSpace(), replay_machine.vcpu(0),
                      replay_machine.timerPeriodCycles());
     rb.userAsm().hlt();
@@ -284,13 +319,63 @@ TEST(Native, DeviceTraceRecordsDiskDma)
     // layout gives the same mappings.
     int injected = replayer.processDue(SimCycle(~0ULL - 1));
     EXPECT_GE(injected, 1);
-    Context probe;
-    probe.cr3 = rb.taskCr3(0);
-    probe.kernel_mode = true;
-    U64 v = 0;
-    guestRead(replay_machine.addressSpace(), probe, GuestVirt(USER_DATA_VA),
-              1, v);
-    EXPECT_EQ(v, 0x3CULL);
+    EXPECT_EQ(readUserData(replay_machine, rb.taskCr3(0)) & 0xFF, 0x3CULL);
+}
+
+/**
+ * Timed replay through the machine loop (Section 4.2): the same guest
+ * runs on a machine whose disk has no image, so its read request goes
+ * nowhere and only the replayed DMA + interrupt can wake it. The task
+ * blocks, the idle fast-forward jumps to the replay event, and the
+ * payload and interrupt must arrive exactly at the recorded cycle —
+ * also on a machine restored from a checkpoint taken before it, where
+ * the restore has dropped the queue and re-armed the replayer.
+ */
+TEST(Native, AttachedReplayerInjectsAtRecordedCycle)
+{
+    DeviceTrace trace;
+    Machine::RunResult recorded = recordDiskRead(trace);
+    ASSERT_TRUE(recorded.shutdown);
+    ASSERT_EQ(trace.size(), 1u);
+    const SimCycle due = trace.all()[0].cycle;
+    const U64 payload = 0x3C3C3C3C3C3C3C3CULL;
+    ASSERT_EQ(recorded.exit_code, payload);
+
+    for (bool restore : {false, true}) {
+        SCOPED_TRACE(restore ? "after a checkpoint restore" : "fresh");
+        Machine m(diskConfig());
+        Pfn cr3 = bootDiskReader(m);
+        TraceReplayer replayer(trace, m.eventChannels(), m.addressSpace());
+        m.attachReplayer(&replayer);
+        if (restore) {
+            // Capture partway to the record, run on (still short of
+            // it), then roll back: the replay event must be re-armed.
+            m.run((due - m.timeKeeper().cycle()).raw() / 2);
+            MachineCheckpoint ckpt = captureCheckpoint(m);
+            m.run((due - m.timeKeeper().cycle()).raw() / 2);
+            restoreCheckpoint(m, ckpt);
+            ASSERT_EQ(m.timeKeeper().cycle(), ckpt.cycle);
+        }
+        // Up to the recorded cycle: the task is blocked on the disk,
+        // and neither the payload nor the interrupt has arrived.
+        Machine::RunResult before =
+            m.run((due - m.timeKeeper().cycle()).raw());
+        ASSERT_FALSE(before.shutdown);
+        ASSERT_EQ(m.timeKeeper().cycle(), due);
+        EXPECT_FALSE(m.vcpu(0).running);
+        EXPECT_EQ(readUserData(m, cr3), 0ULL);
+        EXPECT_EQ(m.eventChannels().pendingMasks()[0] & (1u << PORT_DISK),
+                  0u);
+        // The recorded cycle itself: both land and wake the VCPU.
+        m.run(1);
+        EXPECT_EQ(readUserData(m, cr3), payload);
+        EXPECT_TRUE(m.vcpu(0).running);
+        EXPECT_TRUE(replayer.finished());
+        // The woken task reads the payload and exits with it.
+        Machine::RunResult after = m.run(100'000'000);
+        ASSERT_TRUE(after.shutdown);
+        EXPECT_EQ(after.exit_code, payload);
+    }
 }
 
 }  // namespace

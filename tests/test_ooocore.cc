@@ -603,11 +603,20 @@ TEST(OooCoreTest, SkipAheadCoversLongStalls)
     // The serial chain stalls the whole core for ~memory latency per
     // iteration; the fast path must absorb most of those cycles.
     EXPECT_GT(r.stats().get("core0/ooocore/skipped_cycles"), 1000ULL);
-    EXPECT_GT(r.stats().get("core0/ooocore/select_fast_skips"), 0ULL);
     EXPECT_GT(r.stats().get("core0/ooocore/wakeup_broadcasts"), 0ULL);
     // Skipped cycles still count as simulated cycles.
     EXPECT_GT(r.stats().get("core0/cycles"),
               r.stats().get("core0/ooocore/skipped_cycles"));
+}
+
+/** One SMT core running `threads` VCPUs under fetch policy `policy`. */
+void
+smtInput(SimConfig &cfg, int threads, SmtPolicy policy)
+{
+    cfg.core = "smt";
+    cfg.smt_threads = threads;
+    cfg.vcpu_count = threads;
+    cfg.smt_policy = policy;
 }
 
 TEST(OooCoreTest, SkipAheadIsDeterministic)
@@ -617,32 +626,61 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
     // final cycle count, same commit stream length. Only host work may
     // differ. (Per-stage stall counters are excluded by design: they
     // count evaluated cycles only, and skip-ahead evaluates fewer.)
-    U64 cycles[2], rax[2], rsp[2], insns[2], uops[2], branches[2],
-        skipped[2];
-    for (int skip = 0; skip < 2; skip++) {
-        SimConfig cfg = oooConfig();
-        cfg.skip_ahead = (skip == 1);
-        BareMachine r(cfg);
-        Assembler a(BareMachine::CODE_BASE);
-        progSerialMissChain(a);
-        r.load(a);
-        r.start();
-        cycles[skip] = r.run();
-        rax[skip] = r.reg(R::rax);
-        rsp[skip] = r.reg(R::rsp);
-        insns[skip] = r.stats().get("core0/commit/insns");
-        uops[skip] = r.stats().get("core0/commit/uops");
-        branches[skip] = r.stats().get("core0/branches/total");
-        skipped[skip] = r.stats().get("core0/ooocore/skipped_cycles");
+    // Inputs beyond one thread: SMT under each fetch policy (the
+    // quiesced fast path must keep the arbitration rotors where a
+    // cycle-by-cycle run leaves them), two cores, and the per-cycle
+    // auditor (which must not cap skipping).
+    struct Input
+    {
+        const char *name;
+        void (*shape)(SimConfig &);
+    };
+    const Input inputs[] = {
+        {"one thread", [](SimConfig &) {}},
+        {"smt2 round-robin",
+         [](SimConfig &c) { smtInput(c, 2, SmtPolicy::RoundRobin); }},
+        {"smt2 icount",
+         [](SimConfig &c) { smtInput(c, 2, SmtPolicy::Icount); }},
+        {"smt4 round-robin",
+         [](SimConfig &c) { smtInput(c, 4, SmtPolicy::RoundRobin); }},
+        {"two cores", [](SimConfig &c) { c.vcpu_count = 2; }},
+        {"auditor on", [](SimConfig &c) { c.verify = true; }},
+    };
+    for (const Input &in : inputs) {
+        SCOPED_TRACE(in.name);
+        // Everything that must match, per run: the cycle count, then
+        // rax/rsp per VCPU, then insns/uops/branches/cycles per core.
+        std::vector<U64> observed[2];
+        U64 skipped[2] = {0, 0};
+        for (int skip = 0; skip < 2; skip++) {
+            SimConfig cfg = oooConfig();
+            in.shape(cfg);
+            cfg.skip_ahead = (skip == 1);
+            BareMachine r(cfg);
+            Assembler a(BareMachine::CODE_BASE);
+            progSerialMissChain(a);
+            for (int v = 0; v < r.vcpuCount(); v++)
+                r.load(a, v);
+            r.start();
+            std::vector<U64> &o = observed[skip];
+            o.push_back(r.run());
+            for (int v = 0; v < r.vcpuCount(); v++) {
+                o.push_back(r.reg(R::rax, v));
+                o.push_back(r.reg(R::rsp, v));
+            }
+            for (int c = 0; c < r.coreCount(); c++) {
+                std::string core = "core" + std::to_string(c) + "/";
+                for (const char *stat : {"commit/insns", "commit/uops",
+                                         "branches/total", "cycles"})
+                    o.push_back(r.stats().get(core + stat));
+                skipped[skip] +=
+                    r.stats().get(core + "ooocore/skipped_cycles");
+            }
+        }
+        EXPECT_EQ(observed[0], observed[1]);
+        EXPECT_EQ(skipped[0], 0ULL);
+        EXPECT_GT(skipped[1], 0ULL);
     }
-    EXPECT_EQ(cycles[0], cycles[1]);
-    EXPECT_EQ(rax[0], rax[1]);
-    EXPECT_EQ(rsp[0], rsp[1]);
-    EXPECT_EQ(insns[0], insns[1]);
-    EXPECT_EQ(uops[0], uops[1]);
-    EXPECT_EQ(branches[0], branches[1]);
-    EXPECT_EQ(skipped[0], 0ULL);
-    EXPECT_GT(skipped[1], 0ULL);
 }
 
 }  // namespace
