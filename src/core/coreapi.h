@@ -103,17 +103,35 @@ class CoreModel
     virtual bool allIdle() const = 0;
 
     /**
-     * Earliest cycle at which this core needs to run again if no new
-     * external event arrives: CYCLE_NEVER when idle, else the very
-     * next cycle. Nothing in the simulator consults it (skip-ahead
-     * lives inside OooCore::cycle(), and the machine's idle
-     * fast-forward only runs once every VCPU is blocked); it stays
-     * because perfbench/tracing.cpp's timing wrapper forwards it.
+     * The first cycle at or after `now` whose cycle() could change
+     * anything, assuming no event fires and no other core acts before
+     * then. Every cycle from `now` up to the returned stamp is quiet:
+     * running it through cycle() would only count it. The machine's
+     * cycle loop (sys/corestep.h) asks every core after each cycle
+     * and jumps the clock to the earliest answer, handing each core
+     * the span it slept through via skipCycles(). The default says
+     * CYCLE_NEVER once every thread is blocked and `now` otherwise,
+     * which never lets the loop jump a running core.
      */
     virtual SimCycle
     sleepUntil(SimCycle now) const
     {
         return allIdle() ? CYCLE_NEVER : now;
+    }
+
+    /**
+     * Account for `n` cycles starting at `from` that the machine
+     * jumped over because every core's sleepUntil() proved them
+     * quiet. The default runs cycle() on each of them, so a core
+     * that does not override this keeps its exact per-cycle
+     * behaviour; a model overrides it to do the same bookkeeping in
+     * one step.
+     */
+    virtual void
+    skipCycles(SimCycle from, CycleDelta n)
+    {
+        for (SimCycle c = from, end = from + n; c < end; ++c)
+            cycle(c);
     }
 
     /** Squash all in-flight state (SMC, external invalidation,

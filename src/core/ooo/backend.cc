@@ -51,43 +51,60 @@ OooCore::stageIssue(SimCycle now)
     for (IssueQueue &iq : queues) {
         if (iq.used == 0)
             continue;
-        int issued = 0;
-        while (issued < cfg.issue_width_per_cluster) {
-            // Oldest-first (collapsing queue) selection over entries
-            // whose ready mask filled and whose wake stamp arrived.
-            // Not-ready slots cost one 32-byte IqEntry read; the
-            // 168-byte RobEntry is only touched for candidates.
-            int best = -1;
-            U64 best_seq = ~0ULL;
-            for (size_t i = 0; i < iq.slots.size(); i++) {
-                IqEntry &slot = iq.slots[i];
-                if (!slot.valid || slot.seq >= best_seq
-                    || slot.ready_mask != IQ_ALL_READY
-                    || slot.wake_cycle > now)
+        // Oldest-first (collapsing queue) selection in one pass: gather
+        // the slots whose ready mask filled and whose wake and retry
+        // stamps arrived, order them by age, and issue from the front.
+        // Not-ready slots cost one 32-byte IqEntry read; the 168-byte
+        // RobEntry is only touched for candidates.
+        int count = 0;
+        auto gather = [&] {
+            count = 0;
+            for (int i = 0; i < (int)iq.slots.size(); i++) {
+                const IqEntry &slot = iq.slots[(size_t)i];
+                if (!slot.valid || slot.ready_mask != IQ_ALL_READY
+                    || slot.wake_cycle > now
+                    || threads[slot.thread].rob[slot.rob].retry_cycle > now)
                     continue;
-                RobEntry &e = threads[slot.thread].rob[slot.rob];
-                if (e.retry_cycle > now)
-                    continue;
-                UopClass cls = e.uop.schedCls();
-                if ((cls == UopClass::IntMul && mul_used)
-                    || (cls == UopClass::IntDiv && div_used))
-                    continue;
-                best = (int)i;
-                best_seq = slot.seq;
+                // Insertion by seq; ties (SMT threads number their
+                // uops separately) keep the lower slot first.
+                int j = count++;
+                for (; j > 0
+                       && iq.slots[(size_t)select_slots[j - 1]].seq
+                              > slot.seq;
+                     j--)
+                    select_slots[j] = select_slots[j - 1];
+                select_slots[j] = i;
             }
-            if (best < 0)
-                break;
-            UopClass cls =
-                threads[iq.slots[best].thread].rob[iq.slots[best].rob]
-                    .uop.schedCls();
+        };
+        gather();
+        int issued = 0;
+        for (int k = 0; k < count && issued < cfg.issue_width_per_cluster;
+             k++) {
+            int best = select_slots[k];
+            IqEntry &slot = iq.slots[(size_t)best];
+            if (!slot.valid)
+                continue;  // squashed by an older branch this cycle
+            const RobEntry &e = threads[slot.thread].rob[slot.rob];
+            UopClass cls = e.uop.schedCls();
+            if ((cls == UopClass::IntMul && mul_used)
+                || (cls == UopClass::IntDiv && div_used))
+                continue;
+            int phys = e.phys;
             cycle_activity = true;  // issue or replay both mutate state
-            bool ok = issueOne(now, iq, best);
+            issueOne(now, iq, best);
             if (cls == UopClass::IntMul)
                 mul_used = true;
             if (cls == UopClass::IntDiv)
                 div_used = true;
             issued++;  // the port is consumed even by a replayed op
-            (void)ok;
+            // A zero-latency result wakes its consumers this very
+            // cycle; only then can the candidate set grow, so gather
+            // again (what issued is gone or waits on its retry stamp).
+            if (phys >= 0 && prf[phys].ready
+                && prf[phys].ready_cycle <= now) {
+                gather();
+                k = -1;
+            }
         }
     }
 }
@@ -689,7 +706,7 @@ OooCore::stageCommit(SimCycle now)
             cycle_activity = true;
         }
     }
-    next_commit_thread++;
+    next_commit_thread = rotate(next_commit_thread);
 }
 
 }  // namespace ptl

@@ -368,7 +368,7 @@ OooCore::stageRename(SimCycle now)
             cycle_activity = true;
         }
     }
-    next_rename_thread++;
+    next_rename_thread = rotate(next_rename_thread);
 }
 
 }  // namespace ptl

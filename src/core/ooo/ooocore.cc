@@ -93,6 +93,7 @@ OooCore::OooCore(const CoreBuildParams &params, bool smt_mode)
         fp_queue_index = (int)queues.size();
         queues.push_back(std::move(fpq));
     }
+    select_slots.resize((size_t)std::max(cfg.int_iq_size, cfg.fp_iq_size));
 
     // Per-thread structures.
     threads.resize(params.contexts.size());
@@ -477,7 +478,7 @@ OooCore::pickFetchThread(SimCycle now)
         Thread &t = threads[i];
         if (!t.ctx->running || t.fetch_stall_until > now || t.fetch_faulted)
             continue;
-        next_fetch_thread = i + 1;
+        next_fetch_thread = (i + 1) % n;
         return i;
     }
     return -1;
@@ -493,17 +494,7 @@ OooCore::cycle(SimCycle now)
     // stalls, the commit watchdog) is already folded into idle_until
     // by sleepCore().
     if (now < idle_until) {
-        bool wake = false;
-        for (Thread &t : threads) {
-            const Context &c = *t.ctx;
-            if (c.running != t.slept_running
-                || (c.running && c.event_pending && !c.event_mask
-                    && c.event_callback != 0)) {
-                wake = true;
-                break;
-            }
-        }
-        if (!wake) {
+        if (!wakeRequested()) {
             now_cache = now;
             st_cycles++;
             st_skipped_cycles++;
@@ -514,8 +505,8 @@ OooCore::cycle(SimCycle now)
             // and the rename/commit rotors move unconditionally.
             if (threads.size() > 1)
                 (void)pickFetchThread(now);
-            next_rename_thread++;
-            next_commit_thread++;
+            next_rename_thread = rotate(next_rename_thread);
+            next_commit_thread = rotate(next_commit_thread);
             return;
         }
         idle_until = SimCycle(0);
@@ -559,6 +550,45 @@ OooCore::cycle(SimCycle now)
         sleepCore(now);
     else
         idle_until = SimCycle(0);
+}
+
+bool
+OooCore::wakeRequested() const
+{
+    for (const Thread &t : threads) {
+        const Context &c = *t.ctx;
+        if (c.running != t.slept_running
+            || (c.running && c.event_pending && !c.event_mask
+                && c.event_callback != 0))
+            return true;
+    }
+    return false;
+}
+
+SimCycle
+OooCore::sleepUntil(SimCycle now) const
+{
+    // The fast path of cycle() would take every cycle of the window:
+    // nothing but the counters and rotors moves until idle_until.
+    if (now < idle_until && !wakeRequested())
+        return idle_until;
+    return now;
+}
+
+void
+OooCore::skipCycles(SimCycle from, CycleDelta n)
+{
+    if (threads.size() > 1) {
+        CoreModel::skipCycles(from, n);
+        return;
+    }
+    // Exactly what n fast-path cycles of cycle() leave behind.
+    ptl_assert(from + n <= idle_until);
+    now_cache = from + n - cycles(1);
+    st_cycles += n.raw();
+    st_skipped_cycles += n.raw();
+    next_rename_thread = rotate(next_rename_thread, n.raw());
+    next_commit_thread = rotate(next_commit_thread, n.raw());
 }
 
 /**

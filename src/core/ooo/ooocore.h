@@ -62,6 +62,13 @@ class OooCore : public CoreModel
 
     void cycle(SimCycle now) override;
     bool allIdle() const override;
+    /** idle_until while the skip-ahead window is armed and no wake
+     *  condition holds, else `now`. */
+    SimCycle sleepUntil(SimCycle now) const override;
+    /** One thread: the bookkeeping of `n` fast-path cycles in one
+     *  step. SMT keeps the per-cycle default, since the fetch rotor's
+     *  moves depend on each cycle's stamp. */
+    void skipCycles(SimCycle from, CycleDelta n) override;
     void flushPipeline() override;
     void flushTlbs() override;
     void resetTimebase(SimCycle now) override;
@@ -308,6 +315,18 @@ class OooCore : public CoreModel
      *  no pipeline activity, snapshot per-thread running state, and
      *  arm idle_until. */
     void sleepCore(SimCycle now);
+    /** Has an external change ended the skip-ahead window early: a
+     *  VCPU running-flag flip since sleepCore, or an event that a
+     *  running thread can take? */
+    bool wakeRequested() const;
+    /** Advance an SMT arbitration rotor by `n` cycles' worth, kept
+     *  in [0, threads) (the per-cycle step needs no division). */
+    int rotate(int rotor, U64 n = 1) const
+    {
+        const U64 size = threads.size();
+        const U64 r = (U64)rotor + (n < size ? n : n % size);
+        return (int)(r < size ? r : r - size);
+    }
     int robNext(const Thread &t, int idx) const
     {
         return (idx + 1) % (int)t.rob.size();
@@ -359,6 +378,10 @@ class OooCore : public CoreModel
     std::vector<int> free_int, free_fp;
     std::vector<IssueQueue> queues;   ///< int queues then FP queue
     int fp_queue_index = 0;
+    /** Select scratch: one queue's issuable slot indices, oldest
+     *  first. Sized for the largest queue when the core is built. */
+    std::vector<int> select_slots;
+    // SMT arbitration rotors, each in [0, threads).
     int next_fetch_thread = 0;
     int next_rename_thread = 0;
     int next_commit_thread = 0;

@@ -448,6 +448,20 @@ SeqCore::cycle(SimCycle now)
     }
 }
 
+SimCycle
+SeqCore::sleepUntil(SimCycle now) const
+{
+    SimCycle wake = CYCLE_NEVER;
+    for (size_t t = 0; t < engines.size(); t++) {
+        if (!contexts[t]->running)
+            continue;
+        if (stall_until[t] <= now)
+            return now;
+        wake = std::min(wake, stall_until[t]);
+    }
+    return wake.never() ? now : wake;
+}
+
 bool
 SeqCore::allIdle() const
 {

@@ -135,6 +135,12 @@ class SeqCore : public CoreModel
 
     void cycle(SimCycle now) override;
     bool allIdle() const override;
+    /** The earliest stall-window end over the running threads; `now`
+     *  when a thread can step or none runs (the machine's idle
+     *  fast-forward owns the all-blocked case). */
+    SimCycle sleepUntil(SimCycle now) const override;
+    /** A cycle in which every running thread stalls does nothing. */
+    void skipCycles(SimCycle, CycleDelta) override {}
     void flushPipeline() override;
     void flushTlbs() override;
     void resetTimebase(SimCycle now) override;

@@ -460,6 +460,15 @@ SimConfig::validate() const
     if (int_prf_size < rob_size / 2)
         fatal("int_prf_size %d too small for rob_size %d",
               int_prf_size, rob_size);
+    // The OoO wakeup lists pack (queue, slot) into a U16 as
+    // queue << 8 | slot << 2: 6 bits of slot, 8 of queue (the integer
+    // lanes plus the FP queue).
+    if (int_iq_size < 1 || int_iq_size > 64)
+        fatal("int_iq_size %d out of range [1, 64]", int_iq_size);
+    if (fp_iq_size < 1 || fp_iq_size > 64)
+        fatal("fp_iq_size %d out of range [1, 64]", fp_iq_size);
+    if (int_iq_count < 1 || int_iq_count > 254)
+        fatal("int_iq_count %d out of range [1, 254]", int_iq_count);
     // Force geometry checks.
     (void)l1i.sets();
     (void)l1d.sets();

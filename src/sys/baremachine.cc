@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "lib/logging.h"
+#include "sys/corestep.h"
 
 namespace ptl {
 
@@ -18,7 +19,7 @@ BareMachine::BareMachine(const SimConfig &config)
       bbcache(stats_tree.counter("bbcache/hits"),
               stats_tree.counter("bbcache/misses"),
               stats_tree.counter("bbcache/smc_invalidations")),
-      interlock_ctrl(stats_tree)
+      interlock_ctrl(stats_tree), clock(cfg.core_freq_hz)
 {
     cfg.validate();
     aspace.attachStats(stats_tree);
@@ -71,20 +72,21 @@ void
 BareMachine::tick()
 {
     for (auto &core : core_set.cores)
-        core->cycle(clock);
-    ++clock;
+        core->cycle(clock.cycle());
+    clock.tick();
 }
 
 U64
 BareMachine::run(U64 max_cycles)
 {
     ptl_assert(!core_set.cores.empty());
-    const SimCycle start = clock;
+    const SimCycle start = clock.cycle();
     const SimCycle deadline = start + cycles(max_cycles);
-    while (clock < deadline && !allIdle())
-        tick();
+    stepCores(
+        core_set.cores, clock, [deadline] { return deadline; },
+        [this] { return allIdle(); }, [](CycleDelta) {});
     ptl_assert(allIdle());
-    return (clock - start).raw();
+    return (clock.cycle() - start).raw();
 }
 
 void

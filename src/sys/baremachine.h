@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "sys/coreassembly.h"
+#include "sys/timekeeper.h"
 #include "xasm/assembler.h"
 
 namespace ptl {
@@ -59,7 +60,7 @@ class BareMachine : public SystemInterface
     /** nullptr for one core under instant visibility. */
     CoherenceController *coherence() { return core_set.coherence.get(); }
     /** The cycle the next tick() simulates. */
-    SimCycle now() const { return clock; }
+    SimCycle now() const { return clock.cycle(); }
 
     /**
      * Write the assembled image at its base VA (the first time this
@@ -77,8 +78,10 @@ class BareMachine : public SystemInterface
     void tick();
 
     /**
-     * Tick until every VCPU halts; panics if that takes more than
-     * `max_cycles`. Returns the cycles simulated by this call.
+     * Run until every VCPU halts; panics if that takes more than
+     * `max_cycles`. Cycles every core proves quiet are jumped over
+     * (sys/corestep.h), so the result matches a tick() loop. Returns
+     * the cycles simulated by this call.
      */
     U64 run(U64 max_cycles = 3'000'000);
 
@@ -105,7 +108,7 @@ class BareMachine : public SystemInterface
     Pfn root;
     std::vector<std::unique_ptr<Context>> contexts;
     CoreSet core_set;
-    SimCycle clock;
+    TimeKeeper clock;
     U64 tsc = 0;
 };
 

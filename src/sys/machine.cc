@@ -1,6 +1,7 @@
 #include "sys/machine.h"
 
 #include "lib/logging.h"
+#include "sys/corestep.h"
 
 namespace ptl {
 
@@ -351,19 +352,16 @@ Machine::run(U64 max_cycles)
                 deadline, std::max(eventq.nextDue(), now + cycles(1)));
             runNativeSlice(std::max(limit, now + cycles(1)));
         } else {
-            // The hot loop: advance each core by one cycle, round
-            // robin, until the queue head comes due. The per-cycle
-            // overhead beyond the cores themselves is one O(1) heap
-            // peek and the VCPU idle scan.
-            do {
-                accountModeCycles(cycles(1));
-                SimCycle c = time.cycle();
-                for (auto &core : core_set.cores)
-                    core->cycle(c);
-                time.tick();
-            } while (time.cycle() < deadline
-                     && time.cycle() < eventq.nextDue()
-                     && !allVcpusIdle());
+            // The hot loop: advance the cores round robin until the
+            // queue head comes due, jumping over the cycles in which
+            // every core is quiet. The per-cycle overhead beyond the
+            // cores themselves is one O(1) heap peek, the VCPU idle
+            // scan and one sleepUntil() per core.
+            stepCores(
+                core_set.cores, time,
+                [&] { return std::min(deadline, eventq.nextDue()); },
+                [&] { return allVcpusIdle(); },
+                [&](CycleDelta n) { accountModeCycles(n); });
         }
     }
 

@@ -9,7 +9,9 @@
  *
  *  - round-robin core advancement (Section 2.2), with the hot loop
  *    reduced to "fire events due now, tick cores until the queue
- *    head": no per-cycle device/replayer/flag polling survives;
+ *    head": no per-cycle device/replayer/flag polling survives, and
+ *    cycles in which every core is provably quiet are jumped over in
+ *    one step (sys/corestep.h);
  *  - native <-> simulation mode switching driven by ptlcalls and
  *    trigger points (Sections 2.3/4.1), with native mode running the
  *    fast functional engine at a configurable native IPC and

@@ -682,4 +682,11 @@ VerifyTestHook::coreId(const OooCore &core)
     return core.core_id;
 }
 
+std::array<int, 3>
+VerifyTestHook::rotors(const OooCore &core)
+{
+    return {core.next_fetch_thread, core.next_rename_thread,
+            core.next_commit_thread};
+}
+
 }  // namespace ptl

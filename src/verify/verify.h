@@ -42,6 +42,7 @@
 #ifndef PTLSIM_VERIFY_VERIFY_H_
 #define PTLSIM_VERIFY_VERIFY_H_
 
+#include <array>
 #include <memory>
 #include <string>
 
@@ -143,6 +144,8 @@ struct VerifyTestHook
     static bool skewShadowReg(OooCore &core, int thread, int reg);
     /** The machine-assigned core id (interlock owner encoding). */
     static int coreId(const OooCore &core);
+    /** The SMT arbitration rotors, in order fetch, rename, commit. */
+    static std::array<int, 3> rotors(const OooCore &core);
 };
 
 }  // namespace ptl

@@ -244,6 +244,30 @@ TEST(ConfigErrors, IntOverflowIsRejected)
                  "key 'dram.banks': 4294967296 is out of range");
 }
 
+TEST(ConfigErrors, IssueQueueGeometryIsBounded)
+{
+    // The OoO wakeup lists pack a slot into 6 bits and a queue into 8.
+    auto with = [](void (*edit)(SimConfig &)) {
+        SimConfig cfg = SimConfig::preset("k8");
+        edit(cfg);
+        return cfg;
+    };
+    EXPECT_DEATH(with([](SimConfig &c) { c.int_iq_size = 65; }).validate(),
+                 "int_iq_size 65 out of range \\[1, 64\\]");
+    EXPECT_DEATH(with([](SimConfig &c) { c.int_iq_size = 0; }).validate(),
+                 "int_iq_size 0 out of range");
+    EXPECT_DEATH(with([](SimConfig &c) { c.fp_iq_size = 100; }).validate(),
+                 "fp_iq_size 100 out of range \\[1, 64\\]");
+    EXPECT_DEATH(with([](SimConfig &c) { c.int_iq_count = 255; }).validate(),
+                 "int_iq_count 255 out of range \\[1, 254\\]");
+    // The largest legal shape passes.
+    with([](SimConfig &c) {
+        c.int_iq_size = 64;
+        c.fp_iq_size = 64;
+        c.int_iq_count = 254;
+    }).validate();
+}
+
 TEST(Config, CacheGeometryDerivesSets)
 {
     CacheParams p{64 << 10, 2, 64, 3, 8, 8};

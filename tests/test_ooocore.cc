@@ -9,7 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+
+#include "core/ooo/ooocore.h"
+#include "forwarding_core.h"
 #include "guest_harness.h"
+#include "verify/verify.h"
 
 namespace ptl {
 namespace {
@@ -626,10 +632,15 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
     // final cycle count, same commit stream length. Only host work may
     // differ. (Per-stage stall counters are excluded by design: they
     // count evaluated cycles only, and skip-ahead evaluates fewer.)
+    // Skip-ahead runs twice through BareMachine::run: behind a
+    // forwarding core that hides sleepUntil/skipCycles, so the loop
+    // calls cycle() on every cycle, and behind one that forwards them,
+    // so the loop jumps over the quiet cycles; both must match.
     // Inputs beyond one thread: SMT under each fetch policy (the
     // quiesced fast path must keep the arbitration rotors where a
     // cycle-by-cycle run leaves them), two cores, and the per-cycle
     // auditor (which must not cap skipping).
+    registerForwardingCores();
     struct Input
     {
         const char *name;
@@ -646,23 +657,29 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
         {"two cores", [](SimConfig &c) { c.vcpu_count = 2; }},
         {"auditor on", [](SimConfig &c) { c.verify = true; }},
     };
+    // Run 0: skip-ahead off. Run 1: on, per-cycle loop. Run 2: on,
+    // with the machine-level jump.
+    const char *wrappers[3] = {"", "fwd.", "fwdjump."};
     for (const Input &in : inputs) {
         SCOPED_TRACE(in.name);
         // Everything that must match, per run: the cycle count, then
         // rax/rsp per VCPU, then insns/uops/branches/cycles per core.
-        std::vector<U64> observed[2];
-        U64 skipped[2] = {0, 0};
-        for (int skip = 0; skip < 2; skip++) {
+        std::vector<U64> observed[3];
+        U64 skipped[3] = {0, 0, 0};
+        U64 jumped = 0;
+        for (int run = 0; run < 3; run++) {
             SimConfig cfg = oooConfig();
             in.shape(cfg);
-            cfg.skip_ahead = (skip == 1);
+            cfg.skip_ahead = (run > 0);
+            cfg.core = wrappers[run] + cfg.core;
             BareMachine r(cfg);
             Assembler a(BareMachine::CODE_BASE);
             progSerialMissChain(a);
             for (int v = 0; v < r.vcpuCount(); v++)
                 r.load(a, v);
             r.start();
-            std::vector<U64> &o = observed[skip];
+            const U64 skips_before = forwardedSkips();
+            std::vector<U64> &o = observed[run];
             o.push_back(r.run());
             for (int v = 0; v < r.vcpuCount(); v++) {
                 o.push_back(r.reg(R::rax, v));
@@ -673,13 +690,553 @@ TEST(OooCoreTest, SkipAheadIsDeterministic)
                 for (const char *stat : {"commit/insns", "commit/uops",
                                          "branches/total", "cycles"})
                     o.push_back(r.stats().get(core + stat));
-                skipped[skip] +=
+                skipped[run] +=
                     r.stats().get(core + "ooocore/skipped_cycles");
             }
+            if (run == 2)
+                jumped = forwardedSkips() - skips_before;
         }
         EXPECT_EQ(observed[0], observed[1]);
+        EXPECT_EQ(observed[0], observed[2]);
         EXPECT_EQ(skipped[0], 0ULL);
         EXPECT_GT(skipped[1], 0ULL);
+        EXPECT_EQ(skipped[1], skipped[2]);
+        EXPECT_GT(jumped, 0ULL);
+    }
+}
+
+/** Every core0/ counter of a run, by path, except the auditor's own
+ *  (core0/verify/ exists only when PTLSIM_VERIFY attaches one). */
+std::map<std::string, U64>
+coreCounters(StatsTree &stats)
+{
+    std::map<std::string, U64> out;
+    for (const std::string &p : stats.paths()) {
+        if (p.rfind("core0/", 0) == 0 && p.rfind("core0/verify/", 0) != 0)
+            out[p] = stats.get(p);
+    }
+    return out;
+}
+
+// ---------------------------------------------------------------------
+// Issue-queue geometry and the SMT rotors
+// ---------------------------------------------------------------------
+
+TEST(OooCoreTest, FullSizeIssueQueueWakesEverySlot)
+{
+    // A 120-add dependent chain behind a load, on one 64-slot integer
+    // lane: the chain fills every slot, the highest ones included, and
+    // each must be woken by its producer's broadcast. A lost wakeup
+    // shows up as the SMT deadlock rescue flushing the stuck thread.
+    SimConfig cfg = oooConfig();
+    cfg.int_iq_count = 1;
+    cfg.int_iq_size = 64;
+    BareMachine r(cfg);
+    Assembler a(BareMachine::CODE_BASE);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
+    a.mov(R::rcx, 50);
+    Label top = a.label();
+    a.mov(R::rax, Mem::at(R::rbx));
+    for (int i = 0; i < 120; i++)
+        a.add(R::rax, 1);
+    a.mov(Mem::at(R::rbx), R::rax);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+    r.load(a);
+    r.start();
+    U64 elapsed = r.run(100'000);
+    EXPECT_EQ(r.reg(R::rax), 50ULL * 120);
+    EXPECT_EQ(r.stats().get("core0/smt/deadlock_rescues"), 0ULL);
+    EXPECT_LT(elapsed, 20'000ULL);
+}
+
+TEST(OooCoreTest, SmtRotorsStayInRange)
+{
+    // Per cycle, under SMT: every rotor stays a thread index.
+    {
+        SimConfig cfg = oooConfig();
+        smtInput(cfg, 3, SmtPolicy::RoundRobin);
+        BareMachine r(cfg);
+        Assembler a(BareMachine::CODE_BASE);
+        progSerialMissChain(a);
+        for (int v = 0; v < r.vcpuCount(); v++)
+            r.load(a, v);
+        r.start();
+        auto &core = dynamic_cast<OooCore &>(r.core(0));
+        while (!r.allIdle()) {
+            r.tick();
+            for (int rotor : VerifyTestHook::rotors(core)) {
+                ASSERT_GE(rotor, 0);
+                ASSERT_LT(rotor, 3);
+            }
+        }
+    }
+    // In bulk, on one thread: a skip far past 2^31 cycles (where an
+    // unbounded int rotor would overflow) leaves them at 0 and counts
+    // every skipped cycle.
+    SimConfig cfg = oooConfig();
+    BareMachine r(cfg);
+    Assembler a(BareMachine::CODE_BASE);
+    progSerialMissChain(a);
+    r.load(a);
+    r.start();
+    r.run();
+    auto &core = dynamic_cast<OooCore &>(r.core(0));
+    // The halted core arms an endless quiet window one cycle later.
+    for (int i = 0; i < 4 && core.sleepUntil(r.now()) == r.now(); i++)
+        r.tick();
+    ASSERT_TRUE(core.sleepUntil(r.now()).never());
+    const CycleDelta n = cycles(5ULL << 31);
+    const U64 cycles_before = r.stats().get("core0/cycles");
+    const U64 skipped_before = r.stats().get("core0/ooocore/skipped_cycles");
+    core.skipCycles(r.now(), n);
+    EXPECT_EQ(VerifyTestHook::rotors(core), (std::array<int, 3>{0, 0, 0}));
+    EXPECT_EQ(r.stats().get("core0/cycles"), cycles_before + n.raw());
+    EXPECT_EQ(r.stats().get("core0/ooocore/skipped_cycles"),
+              skipped_before + n.raw());
+}
+
+// ---------------------------------------------------------------------
+// Select order
+// ---------------------------------------------------------------------
+
+/** bench/bench_simspeed.cpp's measured kernel: a hash-and-update loop
+ *  with real memory traffic and data-dependent branches. */
+void
+progHashKernel(Assembler &a)
+{
+    Label restart = a.newLabel();
+    a.bind(restart);
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
+    a.mov(R::rcx, 20000);
+    a.mov(R::rax, 12345);
+    Label top = a.label();
+    a.mov(R::rdx, R::rax);
+    a.and_(R::rdx, 0xFFF8);
+    a.mov(R::rsi, Mem::idx(R::rbx, R::rdx, 1));
+    a.add(R::rax, R::rsi);
+    a.imul(R::rax, R::rax, 0x9E3779B9);
+    a.mov(Mem::idx(R::rbx, R::rdx, 1), R::rax);
+    a.test(R::rax, 0x100);
+    Label skip = a.newLabel();
+    a.jcc(COND_e, skip);
+    a.add(R::rax, 7);
+    a.bind(skip);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.jmp(restart);   // runs forever; the test bounds cycles
+}
+
+/** Select under pressure: independent multiplies and a divide contend
+ *  for the one multiplier and divider, a load forwards from the store
+ *  just before it, a narrower load inside a wider store and a load
+ *  behind a store whose address waits on the divide both replay, and
+ *  a branch on hashed data mispredicts. */
+void
+progSelectContention(Assembler &a)
+{
+    a.movImm64(R::rbx, BareMachine::DATA_BASE);
+    a.mov(R::rcx, 400);
+    a.mov(R::rax, 0x12345);
+    a.mov(R::rdi, 7);
+    Label top = a.label();
+    a.imul(R::rsi, R::rcx, 37);
+    a.imul(R::r8, R::rcx, 91);
+    a.imul(R::r9, R::rax, 13);
+    a.mov(R::r10, R::rax);
+    a.mov(R::rdx, 0);
+    a.mov(R::rax, R::rcx);
+    a.add(R::rax, 1000);
+    a.div(R::rdi);
+    a.mov(R::r11, R::rdx);
+    a.mov(R::rax, R::r10);
+    a.mov(Mem::at(R::rbx), R::rsi);
+    a.add(R::rax, Mem::at(R::rbx));
+    a.mov(Mem::at(R::rbx, 64), R::r8);
+    a.mov32(R::r12, Mem::at(R::rbx, 66));
+    a.add(R::rax, R::r12);
+    a.mov(Mem::idx(R::rbx, R::r11, 8, 256), R::r9);
+    a.add(R::rax, Mem::at(R::rbx, 320));
+    a.test(R::r9, 0x10);
+    Label skip = a.newLabel();
+    a.jcc(COND_e, skip);
+    a.xor_(R::rax, R::r8);
+    a.bind(skip);
+    a.dec(R::rcx);
+    a.jcc(COND_ne, top);
+    a.hlt();
+}
+
+struct PinnedCounter
+{
+    const char *path;
+    U64 value;
+};
+
+/** Require exactly `golden` as the core0/ counters; on a mismatch,
+ *  list this run's value of every differing path, in table form. */
+void
+expectCountersPinned(StatsTree &stats,
+                     const std::vector<PinnedCounter> &golden)
+{
+    std::map<std::string, U64> want;
+    for (const PinnedCounter &c : golden)
+        want[c.path] = c.value;
+    std::map<std::string, U64> got = coreCounters(stats);
+    std::string diff;
+    for (const auto &[path, value] : got) {
+        auto it = want.find(path);
+        if (it == want.end() || it->second != value)
+            diff += strprintf("    {\"%s\", %llu},\n", path.c_str(),
+                              (unsigned long long)value);
+    }
+    for (const auto &[path, value] : want) {
+        if (!got.count(path))
+            diff += "    missing: " + path + "\n";
+    }
+    EXPECT_TRUE(diff.empty()) << "core0 counters differ:\n" << diff;
+}
+
+// Every core0/ counter of each run below, recorded with the select
+// loop that rescanned each queue once per issue port. Select picks the
+// same uops in the same order, so the one-pass select must leave every
+// counter (cycles, commits, replays, forwards, mispredicts, stalls,
+// cache and predictor traffic) exactly as it did.
+const std::vector<PinnedCounter> kHashKernelCounters = {
+    {"core0/branches/cond", 1750},
+    {"core0/branches/indirect", 0},
+    {"core0/branches/indirect_mispredicted", 0},
+    {"core0/branches/mispredicted", 332},
+    {"core0/branches/total", 1819},
+    {"core0/branchpred/btb_hits", 0},
+    {"core0/branchpred/btb_misses", 0},
+    {"core0/branchpred/predictions", 3529},
+    {"core0/branchpred/ras_pops", 0},
+    {"core0/branchpred/ras_pushes", 0},
+    {"core0/checker/commits", 5342},
+    {"core0/checker/lockstep_commits", 5342},
+    {"core0/checker/lockstep_skips", 0},
+    {"core0/checker/t0/branches/cond", 1018},
+    {"core0/checker/t0/branches/indirect", 0},
+    {"core0/checker/t0/branches/indirect_mispredicted", 0},
+    {"core0/checker/t0/branches/mispredicted", 0},
+    {"core0/checker/t0/branches/total", 1018},
+    {"core0/checker/t0/commit/assists", 0},
+    {"core0/checker/t0/commit/events_delivered", 0},
+    {"core0/checker/t0/commit/faults_delivered", 0},
+    {"core0/checker/t0/commit/insns", 5342},
+    {"core0/checker/t0/commit/k8ops", 5342},
+    {"core0/checker/t0/commit/loads", 509},
+    {"core0/checker/t0/commit/stores", 509},
+    {"core0/checker/t0/commit/uops", 5342},
+    {"core0/checker/t0/profile/modeled_cycles", 0},
+    {"core0/commit/assists", 0},
+    {"core0/commit/events_delivered", 0},
+    {"core0/commit/faults_delivered", 0},
+    {"core0/commit/insns", 5342},
+    {"core0/commit/loads", 509},
+    {"core0/commit/stores", 509},
+    {"core0/commit/uops", 5342},
+    {"core0/cycles", 60000},
+    {"core0/dcache/accesses", 1183},
+    {"core0/dcache/bank_conflicts", 0},
+    {"core0/dcache/misses", 407},
+    {"core0/dcache/mshr_full", 0},
+    {"core0/dcache/policy_evictions", 19},
+    {"core0/dcache/prefetches", 0},
+    {"core0/dtlb/accesses", 1019},
+    {"core0/dtlb/hits", 987},
+    {"core0/dtlb/l2_hits", 0},
+    {"core0/dtlb/misses", 32},
+    {"core0/icache/accesses", 3971},
+    {"core0/icache/misses", 1},
+    {"core0/icache/policy_evictions", 0},
+    {"core0/itlb/accesses", 3971},
+    {"core0/itlb/hits", 3970},
+    {"core0/itlb/misses", 1},
+    {"core0/l2/accesses", 408},
+    {"core0/l2/misses", 406},
+    {"core0/l2/policy_evictions", 0},
+    {"core0/l3/accesses", 0},
+    {"core0/l3/misses", 0},
+    {"core0/l3/policy_evictions", 0},
+    {"core0/lsq/forwards", 0},
+    {"core0/lsq/hoist_flushes", 0},
+    {"core0/lsq/replays", 0},
+    {"core0/mem/accesses", 406},
+    {"core0/mem/writebacks", 0},
+    {"core0/membackend/reads", 407},
+    {"core0/membackend/writes", 0},
+    {"core0/ooocore/skipped_cycles", 50052},
+    {"core0/ooocore/wakeup_broadcasts", 5025},
+    {"core0/pipeline/fetch_stalls", 4019},
+    {"core0/pipeline/flushes", 0},
+    {"core0/pipeline/rename_stalls", 3317},
+    {"core0/smt/deadlock_rescues", 0},
+    {"core0/walker/loads", 132},
+    {"core0/walker/walks", 33},
+};
+const std::vector<PinnedCounter> kContentionCounters = {
+    {"core0/branches/cond", 817},
+    {"core0/branches/indirect", 0},
+    {"core0/branches/indirect_mispredicted", 0},
+    {"core0/branches/mispredicted", 86},
+    {"core0/branches/total", 1224},
+    {"core0/branchpred/btb_hits", 0},
+    {"core0/branchpred/btb_misses", 0},
+    {"core0/branchpred/predictions", 858},
+    {"core0/branchpred/ras_pops", 0},
+    {"core0/branchpred/ras_pushes", 0},
+    {"core0/checker/commits", 11170},
+    {"core0/checker/lockstep_commits", 9170},
+    {"core0/checker/lockstep_skips", 0},
+    {"core0/checker/t0/branches/cond", 800},
+    {"core0/checker/t0/branches/indirect", 0},
+    {"core0/checker/t0/branches/indirect_mispredicted", 0},
+    {"core0/checker/t0/branches/mispredicted", 0},
+    {"core0/checker/t0/branches/total", 1200},
+    {"core0/checker/t0/commit/assists", 0},
+    {"core0/checker/t0/commit/events_delivered", 0},
+    {"core0/checker/t0/commit/faults_delivered", 0},
+    {"core0/checker/t0/commit/insns", 9170},
+    {"core0/checker/t0/commit/k8ops", 10370},
+    {"core0/checker/t0/commit/loads", 1200},
+    {"core0/checker/t0/commit/stores", 1200},
+    {"core0/checker/t0/commit/uops", 11170},
+    {"core0/checker/t0/profile/modeled_cycles", 0},
+    {"core0/commit/assists", 1},
+    {"core0/commit/events_delivered", 0},
+    {"core0/commit/faults_delivered", 0},
+    {"core0/commit/insns", 9171},
+    {"core0/commit/loads", 1200},
+    {"core0/commit/stores", 1200},
+    {"core0/commit/uops", 11171},
+    {"core0/cycles", 8450},
+    {"core0/dcache/accesses", 2009},
+    {"core0/dcache/bank_conflicts", 164},
+    {"core0/dcache/misses", 9},
+    {"core0/dcache/mshr_full", 0},
+    {"core0/dcache/policy_evictions", 0},
+    {"core0/dcache/prefetches", 0},
+    {"core0/dtlb/accesses", 13774},
+    {"core0/dtlb/hits", 13773},
+    {"core0/dtlb/l2_hits", 0},
+    {"core0/dtlb/misses", 1},
+    {"core0/icache/accesses", 1355},
+    {"core0/icache/misses", 1},
+    {"core0/icache/policy_evictions", 0},
+    {"core0/itlb/accesses", 1355},
+    {"core0/itlb/hits", 1354},
+    {"core0/itlb/misses", 1},
+    {"core0/l2/accesses", 10},
+    {"core0/l2/misses", 10},
+    {"core0/l2/policy_evictions", 0},
+    {"core0/l3/accesses", 0},
+    {"core0/l3/misses", 0},
+    {"core0/l3/policy_evictions", 0},
+    {"core0/lsq/forwards", 402},
+    {"core0/lsq/hoist_flushes", 0},
+    {"core0/lsq/replays", 11353},
+    {"core0/mem/accesses", 10},
+    {"core0/mem/writebacks", 0},
+    {"core0/membackend/reads", 8},
+    {"core0/membackend/writes", 3},
+    {"core0/ooocore/skipped_cycles", 701},
+    {"core0/ooocore/wakeup_broadcasts", 8866},
+    {"core0/pipeline/fetch_stalls", 4973},
+    {"core0/pipeline/flushes", 1},
+    {"core0/pipeline/rename_stalls", 3750},
+    {"core0/smt/deadlock_rescues", 0},
+    {"core0/walker/loads", 8},
+    {"core0/walker/walks", 2},
+};
+const std::vector<PinnedCounter> kZeroLatencyCounters = {
+    {"core0/branches/cond", 817},
+    {"core0/branches/indirect", 0},
+    {"core0/branches/indirect_mispredicted", 0},
+    {"core0/branches/mispredicted", 86},
+    {"core0/branches/total", 1223},
+    {"core0/branchpred/btb_hits", 0},
+    {"core0/branchpred/btb_misses", 0},
+    {"core0/branchpred/predictions", 857},
+    {"core0/branchpred/ras_pops", 0},
+    {"core0/branchpred/ras_pushes", 0},
+    {"core0/checker/commits", 11170},
+    {"core0/checker/lockstep_commits", 9170},
+    {"core0/checker/lockstep_skips", 0},
+    {"core0/checker/t0/branches/cond", 800},
+    {"core0/checker/t0/branches/indirect", 0},
+    {"core0/checker/t0/branches/indirect_mispredicted", 0},
+    {"core0/checker/t0/branches/mispredicted", 0},
+    {"core0/checker/t0/branches/total", 1200},
+    {"core0/checker/t0/commit/assists", 0},
+    {"core0/checker/t0/commit/events_delivered", 0},
+    {"core0/checker/t0/commit/faults_delivered", 0},
+    {"core0/checker/t0/commit/insns", 9170},
+    {"core0/checker/t0/commit/k8ops", 10370},
+    {"core0/checker/t0/commit/loads", 1200},
+    {"core0/checker/t0/commit/stores", 1200},
+    {"core0/checker/t0/commit/uops", 11170},
+    {"core0/checker/t0/profile/modeled_cycles", 0},
+    {"core0/commit/assists", 1},
+    {"core0/commit/events_delivered", 0},
+    {"core0/commit/faults_delivered", 0},
+    {"core0/commit/insns", 9171},
+    {"core0/commit/loads", 1200},
+    {"core0/commit/stores", 1200},
+    {"core0/commit/uops", 11171},
+    {"core0/cycles", 8057},
+    {"core0/dcache/accesses", 2009},
+    {"core0/dcache/bank_conflicts", 9},
+    {"core0/dcache/misses", 9},
+    {"core0/dcache/mshr_full", 0},
+    {"core0/dcache/policy_evictions", 0},
+    {"core0/dcache/prefetches", 0},
+    {"core0/dtlb/accesses", 13002},
+    {"core0/dtlb/hits", 13001},
+    {"core0/dtlb/l2_hits", 0},
+    {"core0/dtlb/misses", 1},
+    {"core0/icache/accesses", 1351},
+    {"core0/icache/misses", 1},
+    {"core0/icache/policy_evictions", 0},
+    {"core0/itlb/accesses", 1351},
+    {"core0/itlb/hits", 1350},
+    {"core0/itlb/misses", 1},
+    {"core0/l2/accesses", 10},
+    {"core0/l2/misses", 10},
+    {"core0/l2/policy_evictions", 0},
+    {"core0/l3/accesses", 0},
+    {"core0/l3/misses", 0},
+    {"core0/l3/policy_evictions", 0},
+    {"core0/lsq/forwards", 400},
+    {"core0/lsq/hoist_flushes", 0},
+    {"core0/lsq/replays", 10587},
+    {"core0/mem/accesses", 10},
+    {"core0/mem/writebacks", 0},
+    {"core0/membackend/reads", 8},
+    {"core0/membackend/writes", 3},
+    {"core0/ooocore/skipped_cycles", 702},
+    {"core0/ooocore/wakeup_broadcasts", 8855},
+    {"core0/pipeline/fetch_stalls", 4372},
+    {"core0/pipeline/flushes", 1},
+    {"core0/pipeline/rename_stalls", 3192},
+    {"core0/smt/deadlock_rescues", 0},
+    {"core0/walker/loads", 8},
+    {"core0/walker/walks", 2},
+};
+const std::vector<PinnedCounter> kContentionSmtCounters = {
+    {"core0/branches/cond", 3203},
+    {"core0/branches/indirect", 0},
+    {"core0/branches/indirect_mispredicted", 0},
+    {"core0/branches/mispredicted", 1520},
+    {"core0/branches/total", 4803},
+    {"core0/branchpred/btb_hits", 0},
+    {"core0/branchpred/btb_misses", 0},
+    {"core0/branchpred/predictions", 3600},
+    {"core0/branchpred/ras_pops", 0},
+    {"core0/branchpred/ras_pushes", 0},
+    {"core0/checker/commits", 44680},
+    {"core0/checker/lockstep_commits", 0},
+    {"core0/checker/lockstep_skips", 0},
+    {"core0/commit/assists", 4},
+    {"core0/commit/events_delivered", 0},
+    {"core0/commit/faults_delivered", 0},
+    {"core0/commit/insns", 36684},
+    {"core0/commit/loads", 4800},
+    {"core0/commit/stores", 4800},
+    {"core0/commit/uops", 44684},
+    {"core0/cycles", 22020},
+    {"core0/dcache/accesses", 8009},
+    {"core0/dcache/bank_conflicts", 458},
+    {"core0/dcache/misses", 9},
+    {"core0/dcache/mshr_full", 0},
+    {"core0/dcache/policy_evictions", 0},
+    {"core0/dcache/prefetches", 0},
+    {"core0/dtlb/accesses", 29811},
+    {"core0/dtlb/hits", 29810},
+    {"core0/dtlb/l2_hits", 0},
+    {"core0/dtlb/misses", 1},
+    {"core0/icache/accesses", 6741},
+    {"core0/icache/misses", 1},
+    {"core0/icache/policy_evictions", 0},
+    {"core0/itlb/accesses", 6741},
+    {"core0/itlb/hits", 6740},
+    {"core0/itlb/misses", 1},
+    {"core0/l2/accesses", 10},
+    {"core0/l2/misses", 10},
+    {"core0/l2/policy_evictions", 0},
+    {"core0/l3/accesses", 0},
+    {"core0/l3/misses", 0},
+    {"core0/l3/policy_evictions", 0},
+    {"core0/lsq/forwards", 1600},
+    {"core0/lsq/hoist_flushes", 0},
+    {"core0/lsq/replays", 20211},
+    {"core0/mem/accesses", 10},
+    {"core0/mem/writebacks", 0},
+    {"core0/membackend/reads", 8},
+    {"core0/membackend/writes", 3},
+    {"core0/ooocore/skipped_cycles", 106},
+    {"core0/ooocore/wakeup_broadcasts", 35163},
+    {"core0/pipeline/fetch_stalls", 5730},
+    {"core0/pipeline/flushes", 4},
+    {"core0/pipeline/rename_stalls", 25347},
+    {"core0/smt/deadlock_rescues", 0},
+    {"core0/walker/loads", 8},
+    {"core0/walker/walks", 2},
+};
+
+TEST(OooCoreTest, SelectOrderIsPinned)
+{
+    {
+        SCOPED_TRACE("hash kernel");
+        BareMachine r(oooConfig());
+        Assembler a(BareMachine::CODE_BASE);
+        progHashKernel(a);
+        r.load(a);
+        r.start();
+        for (int i = 0; i < 60'000; i++)
+            r.tick();
+        expectCountersPinned(r.stats(), kHashKernelCounters);
+    }
+    {
+        SCOPED_TRACE("contention");
+        BareMachine r(oooConfig());
+        Assembler a(BareMachine::CODE_BASE);
+        progSelectContention(a);
+        r.load(a);
+        r.start();
+        r.run();
+        expectCountersPinned(r.stats(), kContentionCounters);
+    }
+    {
+        // A zero-latency ALU result wakes its consumers in the cycle
+        // it issues, so the candidate set grows mid-select.
+        SCOPED_TRACE("contention, zero-latency ALU");
+        SimConfig cfg = oooConfig();
+        cfg.lat_alu = 0;
+        BareMachine r(cfg);
+        Assembler a(BareMachine::CODE_BASE);
+        progSelectContention(a);
+        r.load(a);
+        r.start();
+        r.run();
+        expectCountersPinned(r.stats(), kZeroLatencyCounters);
+    }
+    {
+        // Threads number their uops separately, so equal ages meet
+        // in one queue: the tie goes to the lower slot.
+        SCOPED_TRACE("contention, smt4");
+        SimConfig cfg = oooConfig();
+        smtInput(cfg, 4, SmtPolicy::RoundRobin);
+        BareMachine r(cfg);
+        Assembler a(BareMachine::CODE_BASE);
+        progSelectContention(a);
+        for (int v = 0; v < r.vcpuCount(); v++)
+            r.load(a, v);
+        r.start();
+        r.run();
+        expectCountersPinned(r.stats(), kContentionSmtCounters);
     }
 }
 
